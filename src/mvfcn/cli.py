@@ -17,6 +17,7 @@ from .graph import build_mvfcn, forward, infer_shapes, summary
 from .io import (
     GtMapping,
     RunConfig,
+    _index_files,
     apply_state,
     discover_dataset,
     ensure_rgb,
@@ -156,18 +157,6 @@ def _parse_method(text: str):
     raise ConfigError(f"method must be 'otsu' or 'global:TAU' with TAU in [0,1], got {text!r}")
 
 
-def _indexed_files(directory: Path, suffixes) -> list[tuple[int, Path]]:
-    out = {}
-    for entry in sorted(directory.iterdir()):
-        if entry.suffix.lower() not in suffixes:
-            continue
-        digits = re.findall(r"\d+", entry.stem)
-        if not digits:
-            continue
-        out[int(digits[-1])] = entry
-    return sorted(out.items())
-
-
 def cmd_binarize(args) -> int:
     method, tau = _parse_method(args.method)
     if args.min_area < 0:
@@ -175,8 +164,8 @@ def cmd_binarize(args) -> int:
     scores_dir = Path(args.scores)
     if not scores_dir.is_dir():
         raise DataError(f"{scores_dir} is not a directory")
-    sidecars = dict(_indexed_files(scores_dir, (".f32",)))
-    maps = dict(_indexed_files(scores_dir, (".pgm",)))
+    sidecars = _index_files(scores_dir, (".f32",))
+    maps = _index_files(scores_dir, (".pgm",))
     indices = sorted(set(sidecars) | set(maps))
     if not indices:
         raise DataError(f"{scores_dir} holds no score maps")
@@ -204,8 +193,8 @@ def cmd_eval(args) -> int:
     gt_dir = Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
         raise DataError("prediction and ground-truth paths must be directories")
-    preds = _indexed_files(pred_dir, (".pgm",))
-    gts = _indexed_files(gt_dir, (".pgm",))
+    preds = sorted(_index_files(pred_dir, (".pgm",)).items())
+    gts = sorted(_index_files(gt_dir, (".pgm",)).items())
     if len(preds) != len(gts) or [i for i, _ in preds] != [i for i, _ in gts]:
         raise DataError(
             f"prediction/ground-truth misalignment: {len(preds)} vs {len(gts)} frames"

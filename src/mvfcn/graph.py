@@ -30,11 +30,13 @@ from .tensor import (
     dropout,
     dropout_backward,
     relu,
+    relu_backward,
     sigmoid,
     sigmoid_backward,
 )
 
 KINDS = ("input", "conv", "convT", "concat", "batchnorm", "dropout")
+CONV_KINDS = ("conv", "convT")
 ACTIVATIONS = ("none", "relu", "sigmoid")
 
 
@@ -56,7 +58,7 @@ class LayerSpec:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
-        if self.kind in ("conv", "convT"):
+        if self.kind in CONV_KINDS:
             if len(self.inputs) != 1:
                 raise ShapeError(f"layer {self.id}: conv layers take exactly one input")
             if self.kernel is None or self.stride is None or self.out_channels is None:
@@ -101,7 +103,7 @@ class ModelGraph:
         for layer in self.layers:
             if layer.kind == "input":
                 channels[layer.id] = self.in_channels
-            elif layer.kind in ("conv", "convT"):
+            elif layer.kind in CONV_KINDS:
                 channels[layer.id] = layer.out_channels
             elif layer.kind == "concat":
                 channels[layer.id] = sum(channels[i] for i in layer.inputs)
@@ -109,11 +111,10 @@ class ModelGraph:
                 channels[layer.id] = channels[layer.inputs[0]]
         return channels
 
-    def conv_spec(self, layer: LayerSpec):
-        cin = self.channels[layer.inputs[0]]
-        if layer.kind == "conv":
-            return ConvSpec(layer.kernel, layer.stride, cin, layer.out_channels)
-        return TransposeConvSpec(layer.kernel, layer.stride, cin, layer.out_channels)
+    def conv_spec(self, layer: LayerSpec) -> ConvSpec:
+        spec_type = ConvSpec if layer.kind == "conv" else TransposeConvSpec
+        return spec_type(layer.kernel, layer.stride, self.channels[layer.inputs[0]],
+                         layer.out_channels)
 
     def initialize_parameters(self, rng, dtype=np.float32) -> None:
         """Fan-in scaled uniform weights, zero biases, identity batch norm.
@@ -124,7 +125,7 @@ class ModelGraph:
         self.params.clear()
         self.bn_states.clear()
         for layer in self.layers:
-            if layer.kind in ("conv", "convT"):
+            if layer.kind in CONV_KINDS:
                 spec = self.conv_spec(layer)
                 fan_in = spec.in_channels * layer.kernel * layer.kernel
                 limit = math.sqrt(6.0 / fan_in)
@@ -142,7 +143,7 @@ class ModelGraph:
         """Yield (layer_id, name, array) for every trainable tensor, in the
         canonical order used by the optimizer and checkpoints."""
         for layer in self.layers:
-            if layer.kind in ("conv", "convT"):
+            if layer.kind in CONV_KINDS:
                 p = self.params[layer.id]
                 yield layer.id, "weight", p["weight"]
                 yield layer.id, "bias", p["bias"]
@@ -228,14 +229,10 @@ def infer_shapes(graph: ModelGraph, input_shape) -> dict[int, tuple[int, int, in
     for layer in graph.layers:
         if layer.kind == "input":
             shapes[layer.id] = (c, h, w)
-        elif layer.kind == "conv":
+        elif layer.kind in CONV_KINDS:
             _, ih, iw = shapes[layer.inputs[0]]
-            spec = graph.conv_spec(layer)
-            oh, ow = spec.output_hw(ih, iw)
-            shapes[layer.id] = (layer.out_channels, oh, ow)
-        elif layer.kind == "convT":
-            _, ih, iw = shapes[layer.inputs[0]]
-            shapes[layer.id] = (layer.out_channels, layer.stride * ih, layer.stride * iw)
+            shapes[layer.id] = (layer.out_channels,
+                                *graph.conv_spec(layer).output_hw(ih, iw))
         elif layer.kind == "concat":
             parts = [shapes[i] for i in layer.inputs]
             hw = {p[1:] for p in parts}
@@ -254,9 +251,9 @@ def count_params(graph: ModelGraph) -> tuple[int, list[tuple[int, int]]]:
     batch norm, zero elsewhere. Independent of the input size."""
     per_layer = []
     for layer in graph.layers:
-        if layer.kind in ("conv", "convT"):
-            cin = graph.channels[layer.inputs[0]]
-            n = layer.kernel * layer.kernel * cin * layer.out_channels + layer.out_channels
+        if layer.kind in CONV_KINDS:
+            spec = graph.conv_spec(layer)
+            n = math.prod(spec.weight_shape()) + spec.out_channels
         elif layer.kind == "batchnorm":
             n = 2 * graph.channels[layer.id]
         else:
@@ -303,17 +300,11 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     for layer in graph.layers:
         if layer.kind == "input":
             out = x
-        elif layer.kind == "conv":
+        elif layer.kind in CONV_KINDS:
             p = graph.params[layer.id]
-            z = conv2d_forward(cache.outputs[layer.inputs[0]], p["weight"],
-                               p["bias"], graph.conv_spec(layer))
-            out = _activate(layer, z)
-            if layer is last and layer.activation == "sigmoid":
-                cache.logits = z
-        elif layer.kind == "convT":
-            p = graph.params[layer.id]
-            z = convT2d_forward(cache.outputs[layer.inputs[0]], p["weight"],
-                                p["bias"], graph.conv_spec(layer))
+            conv = conv2d_forward if layer.kind == "conv" else convT2d_forward
+            z = conv(cache.outputs[layer.inputs[0]], p["weight"], p["bias"],
+                     graph.conv_spec(layer))
             out = _activate(layer, z)
             if layer is last and layer.activation == "sigmoid":
                 cache.logits = z
@@ -365,19 +356,14 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final,
         skip_activation = final_pre_activation and layer is last
         if not skip_activation:
             if layer.activation == "relu":
-                d = d * (out > 0)
+                d = relu_backward(d, out)
             elif layer.activation == "sigmoid":
                 d = sigmoid_backward(d, out)
-        if layer.kind == "conv":
-            p = graph.params[layer.id]
-            d_x, d_w, d_b = conv2d_backward(cache.outputs[layer.inputs[0]],
-                                            p["weight"], graph.conv_spec(layer), d)
-            grads[layer.id] = {"weight": d_w, "bias": d_b}
-            _accumulate(d_acc, layer.inputs[0], d_x)
-        elif layer.kind == "convT":
-            p = graph.params[layer.id]
-            d_x, d_w, d_b = convT2d_backward(cache.outputs[layer.inputs[0]],
-                                             p["weight"], graph.conv_spec(layer), d)
+        if layer.kind in CONV_KINDS:
+            conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
+            d_x, d_w, d_b = conv_backward(cache.outputs[layer.inputs[0]],
+                                          graph.params[layer.id]["weight"],
+                                          graph.conv_spec(layer), d)
             grads[layer.id] = {"weight": d_w, "bias": d_b}
             _accumulate(d_acc, layer.inputs[0], d_x)
         elif layer.kind == "concat":
@@ -425,7 +411,7 @@ def summary(graph: ModelGraph, input_shape=(3, 240, 320)) -> str:
         total, per_layer = count_params(graph)
         counts = dict(per_layer)
         for layer in graph.layers:
-            if layer.kind in ("conv", "convT"):
+            if layer.kind in CONV_KINDS:
                 label = ("Conv2D" if layer.kind == "conv" else "Conv2DT")
                 label += f" ({layer.kernel}, {layer.stride})"
             else:

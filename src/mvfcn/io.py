@@ -209,10 +209,12 @@ class DatasetManifest:
         return len(self.frames)
 
 
-def _index_files(directory: Path) -> dict[int, Path]:
+def _index_files(directory: Path, suffixes=(".pgm", ".ppm")) -> dict[int, Path]:
+    """Map the last digit run of each file stem to its path, for files whose
+    suffix is in ``suffixes``; two files with the same index are an error."""
     indexed = {}
     for entry in sorted(directory.iterdir()):
-        if entry.suffix.lower() not in (".pgm", ".ppm"):
+        if entry.suffix.lower() not in suffixes:
             continue
         digits = re.findall(r"\d+", entry.stem)
         if not digits:
@@ -481,8 +483,6 @@ class RunConfig:
     gt_background: tuple[int, ...] = (0, 50)
     gt_exclude: tuple[int, ...] = (85, 170)
     gt_strict: bool = True
-    eval_resolution: str = "network"  # or "native"
-    deterministic: bool = True
 
     def gt_mapping(self) -> GtMapping:
         return GtMapping(self.gt_foreground, self.gt_background,
@@ -541,8 +541,6 @@ _CONFIG_PARSERS = {
     "gt_background": _parse_int_list,
     "gt_exclude": _parse_int_list,
     "gt_strict": _parse_bool,
-    "eval_resolution": str.strip,
-    "deterministic": _parse_bool,
 }
 
 
@@ -572,8 +570,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         check(0.0 <= float(cfg.threshold) <= 1.0, "threshold must be in [0, 1]")
     check(cfg.min_area >= 0, "min_area must be non-negative")
     check(cfg.connectivity in (4, 8), "connectivity must be 4 or 8")
-    check(cfg.eval_resolution in ("network", "native"),
-          "eval_resolution must be 'network' or 'native'")
     return cfg
 
 

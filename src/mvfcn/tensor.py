@@ -74,29 +74,18 @@ class ConvSpec:
         return -(-h // self.stride), -(-w // self.stride)
 
 
-@dataclass(frozen=True)
-class TransposeConvSpec:
+class TransposeConvSpec(ConvSpec):
     """Learnable upsampling: the adjoint of a same-floor strided convolution.
 
     Weights are stored (in_channels, out_channels, k, k). The default target
     spatial size is stride times the input size.
     """
 
-    kernel: int
-    stride: int
-    in_channels: int
-    out_channels: int
-
-    def __post_init__(self):
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ShapeError(f"kernel must be a positive odd integer, got {self.kernel}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be positive, got {self.stride}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ShapeError("channel counts must be positive")
-
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.in_channels, self.out_channels, self.kernel, self.kernel)
+
+    def output_hw(self, h: int, w: int) -> tuple[int, int]:
+        return self.stride * h, self.stride * w
 
 
 def transpose_alpha(target: int, kernel: int, stride: int, padding: int) -> int:
@@ -116,21 +105,53 @@ def transpose_output_size(in_size: int, kernel: int, stride: int,
     return stride * (in_size - 1) + alpha + kernel - 2 * padding
 
 
-def conv2d_forward(x, weights, bias, spec: ConvSpec):
-    """Cross-correlate ``x`` with ``weights`` plus per-channel ``bias``.
+def _taps(k: int, s: int, oh: int, ow: int):
+    """Walk the k*k kernel taps of a stride-``s`` window over an oh x ow
+    grid, yielding (ki, kj, rows, cols): the slices of the padded big side
+    that tap (ki, kj) pairs with the small side, element for element.
 
-    x: (n, cin, h, w); weights: (cout, cin, k, k); bias: (cout,) or None.
-    Returns (n, cout, ceil(h/s), ceil(w/s)).
+    This is the only place that knows the kernel-window arithmetic; every
+    convolution pass below is built on it.
     """
+    for ki in range(k):
+        for kj in range(k):
+            yield (ki, kj, slice(ki, ki + (oh - 1) * s + 1, s),
+                   slice(kj, kj + (ow - 1) * s + 1, s))
+
+
+def _weight_grad(small, padded, weights, s: int):
+    """Kernel gradient shared by both convolutions: each tap correlates the
+    small side (n, a, oh, ow) with its window of the padded big side
+    (n, b, ...), giving an (a, b) slice of a weights-shaped array."""
+    d_w = np.zeros_like(weights)
+    for ki, kj, rows, cols in _taps(weights.shape[-1], s, *small.shape[2:]):
+        d_w[:, :, ki, kj] = np.tensordot(small, padded[:, :, rows, cols],
+                                         axes=([0, 2, 3], [0, 2, 3]))
+    return d_w
+
+
+def _check_conv_inputs(x, weights, spec: ConvSpec):
     x = _check_nchw(x)
-    n, c, h, w = x.shape
-    if c != spec.in_channels:
-        raise ShapeError(f"input has {c} channels, spec expects {spec.in_channels}")
+    if x.shape[1] != spec.in_channels:
+        raise ShapeError(
+            f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     weights = np.asarray(weights)
     if weights.shape != spec.weight_shape():
         raise ShapeError(
             f"weights shaped {weights.shape}, spec expects {spec.weight_shape()}"
         )
+    return x, weights
+
+
+def conv2d_forward(x, weights, bias, spec: ConvSpec):
+    """Cross-correlate ``x`` with ``weights`` plus per-channel ``bias``.
+
+    x: (n, cin, h, w); weights: (cout, cin, k, k); bias: (cout,) or None.
+    Returns (n, cout, ceil(h/s), ceil(w/s)). Each output neuron gathers
+    its window through the kernel.
+    """
+    x, weights = _check_conv_inputs(x, weights, spec)
+    n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
     pt, pb, oh = same_floor_padding(h, k, s)
     pl, pr, ow = same_floor_padding(w, k, s)
@@ -138,10 +159,8 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
         raise ShapeError(f"empty output {oh}x{ow} after striding")
     xp = _pad_input(x, pt, pb, pl, pr)
     acc = np.zeros((spec.out_channels, n, oh, ow), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            window = xp[:, :, ki:ki + (oh - 1) * s + 1:s, kj:kj + (ow - 1) * s + 1:s]
-            acc += np.tensordot(weights[:, :, ki, kj], window, axes=(1, 1))
+    for ki, kj, rows, cols in _taps(k, s, oh, ow):
+        acc += np.tensordot(weights[:, :, ki, kj], xp[:, :, rows, cols], axes=(1, 1))
     out = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
@@ -151,9 +170,10 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
 def conv2d_backward(x, weights, spec: ConvSpec, d_out):
     """Gradients of a scalar loss through :func:`conv2d_forward`.
 
+    d_x is exactly a transposed convolution of d_out with the same kernel.
     Returns (d_x, d_weights, d_bias) with shapes matching the forward inputs.
     """
-    x = _check_nchw(x)
+    x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
     pt, pb, oh = same_floor_padding(h, k, s)
@@ -164,21 +184,10 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out):
             f"upstream gradient shaped {d_out.shape}, forward produced "
             f"{(n, spec.out_channels, oh, ow)}"
         )
-    weights = np.asarray(weights)
-    xp = _pad_input(x, pt, pb, pl, pr)
-    d_bias = d_out.sum(axis=(0, 2, 3))
-    d_w = np.zeros_like(weights)
-    d_xp = np.zeros_like(xp)
-    for ki in range(k):
-        for kj in range(k):
-            hs = slice(ki, ki + (oh - 1) * s + 1, s)
-            ws = slice(kj, kj + (ow - 1) * s + 1, s)
-            d_w[:, :, ki, kj] = np.tensordot(d_out, xp[:, :, hs, ws],
-                                             axes=([0, 2, 3], [0, 2, 3]))
-            d_xp[:, :, hs, ws] += np.moveaxis(
-                np.tensordot(weights[:, :, ki, kj], d_out, axes=(0, 1)), 0, 1)
-    d_x = np.ascontiguousarray(d_xp[:, :, pt:pt + h, pl:pl + w])
-    return d_x, d_w, d_bias
+    adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
+    d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
+    d_w = _weight_grad(d_out, _pad_input(x, pt, pb, pl, pr), weights, s)
+    return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
 def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
@@ -189,17 +198,10 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     stride; implemented directly as the adjoint of :func:`conv2d_forward`.
     Default output size is (stride*h, stride*w).
     """
-    x = _check_nchw(x)
+    x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
-    if c != spec.in_channels:
-        raise ShapeError(f"input has {c} channels, spec expects {spec.in_channels}")
-    weights = np.asarray(weights)
-    if weights.shape != spec.weight_shape():
-        raise ShapeError(
-            f"weights shaped {weights.shape}, spec expects {spec.weight_shape()}"
-        )
     k, s = spec.kernel, spec.stride
-    out_h, out_w = out_hw if out_hw is not None else (s * h, s * w)
+    out_h, out_w = out_hw if out_hw is not None else spec.output_hw(h, w)
     pt, pb, ih = same_floor_padding(out_h, k, s)
     pl, pr, iw = same_floor_padding(out_w, k, s)
     if (ih, iw) != (h, w):
@@ -208,12 +210,9 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
         )
     buf = np.zeros((n, spec.out_channels, out_h + pt + pb, out_w + pl + pr),
                    dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            hs = slice(ki, ki + (h - 1) * s + 1, s)
-            ws = slice(kj, kj + (w - 1) * s + 1, s)
-            buf[:, :, hs, ws] += np.moveaxis(
-                np.tensordot(weights[:, :, ki, kj], x, axes=(0, 1)), 0, 1)
+    for ki, kj, rows, cols in _taps(k, s, h, w):
+        buf[:, :, rows, cols] += np.moveaxis(
+            np.tensordot(weights[:, :, ki, kj], x, axes=(0, 1)), 0, 1)
     out = np.ascontiguousarray(buf[:, :, pt:pt + out_h, pl:pl + out_w])
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
@@ -225,7 +224,7 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out):
 
     d_x is exactly a forward convolution of d_out with the same kernel.
     """
-    x = _check_nchw(x)
+    x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
     d_out = np.asarray(d_out)
@@ -241,19 +240,10 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out):
         raise ShapeError(
             f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
         )
-    d_bias = d_out.sum(axis=(0, 2, 3))
-    conv_spec = ConvSpec(k, s, in_channels=spec.out_channels,
-                         out_channels=spec.in_channels)
-    d_x = conv2d_forward(d_out, weights, None, conv_spec)
-    dp = _pad_input(d_out, pt, pb, pl, pr)
-    d_w = np.zeros_like(weights)
-    for ki in range(k):
-        for kj in range(k):
-            hs = slice(ki, ki + (h - 1) * s + 1, s)
-            ws = slice(kj, kj + (w - 1) * s + 1, s)
-            d_w[:, :, ki, kj] = np.tensordot(x, dp[:, :, hs, ws],
-                                             axes=([0, 2, 3], [0, 2, 3]))
-    return d_x, d_w, d_bias
+    adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
+    d_x = conv2d_forward(d_out, weights, None, adjoint)
+    d_w = _weight_grad(x, _pad_input(d_out, pt, pb, pl, pr), weights, s)
+    return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
 def relu(x):

@@ -200,6 +200,14 @@ class TestBinarize:
         mask = load_image(out / "in000001.pgm")[0, 0]
         assert mask[0, 0] == 0.0 and mask[8, 8] == 1.0
 
+    def test_duplicate_frame_index_exits_3(self, tmp_path, score_dir, capsys):
+        from mvfcn.io import save_image
+        # in000001.pgm is already there; b001.pgm claims the same frame 1
+        save_image(np.zeros((20, 20), np.float32), score_dir / "b001.pgm")
+        assert run_cli("binarize", "--scores", score_dir, "--method", "global:0.5",
+                       "--out", tmp_path / "m") == 3
+        assert "duplicate frame index 1" in capsys.readouterr().err
+
     def test_bad_method_exits_2(self, tmp_path, score_dir):
         assert run_cli("binarize", "--scores", score_dir, "--method", "magic",
                        "--out", tmp_path / "m") == 2
@@ -243,6 +251,15 @@ class TestEval:
         self._write_masks(tmp_path / "pred", masks[:2], "in")
         self._write_masks(tmp_path / "gt", masks, "gt")
         assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt") == 3
+
+    def test_duplicate_frame_index_exits_3(self, tmp_path, capsys):
+        masks = [np.ones((6, 6), np.uint8)] * 2
+        self._write_masks(tmp_path / "pred", masks, "in")
+        self._write_masks(tmp_path / "gt", masks, "gt")
+        # a000001.pgm and in000001.pgm both claim frame 1
+        self._write_masks(tmp_path / "pred", masks[:1], "a")
+        assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt") == 3
+        assert "duplicate frame index 1" in capsys.readouterr().err
 
     def test_roi_file_respected(self, tmp_path, capsys, monkeypatch):
         from mvfcn.io import save_image

@@ -28,6 +28,7 @@ from mvfcn import (
     sigmoid,
     sigmoid_backward,
 )
+from mvfcn.errors import ShapeError
 from mvfcn.train import bce_loss
 
 from conftest import numerical_grad, rel_err, tiny_graph, to_float64
@@ -131,6 +132,46 @@ class TestAdjointIdentity:
         lhs = float((conv2d_forward(x, weight, None, spec) * y).sum())
         rhs = float((x * convT2d_forward(y, weight, None, tspec, out_hw=(h, w))).sum())
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs), abs(rhs))
+
+
+class TestConvCore:
+    """The four conv passes share one tap walk through two adjoint
+    relations; both must hold exactly, not just to rounding."""
+
+    @staticmethod
+    def _case(k, s, h, w):
+        r = np.random.default_rng(k * 10 + s + h * w)
+        cin, cout = int(r.integers(1, 4)), int(r.integers(1, 4))
+        spec = ConvSpec(k, s, cin, cout)
+        x = r.normal(size=(2, cin, h, w))
+        weight = r.normal(size=spec.weight_shape())
+        d_out = r.normal(size=conv2d_forward(x, weight, None, spec).shape)
+        return spec, TransposeConvSpec(k, s, cout, cin), x, weight, d_out
+
+    @pytest.mark.parametrize("h,w", [(7, 10), (13, 5)])
+    @pytest.mark.parametrize("k,s", [(1, 1), (3, 2), (5, 4), (9, 8), (5, 2), (9, 1)])
+    def test_conv_input_grad_is_the_adjoint_transpose(self, k, s, h, w):
+        spec, tspec, x, weight, d_out = self._case(k, s, h, w)
+        d_x, _, _ = conv2d_backward(x, weight, spec, d_out)
+        assert np.array_equal(d_x, convT2d_forward(d_out, weight, None, tspec,
+                                                   out_hw=(h, w)))
+
+    @pytest.mark.parametrize("h,w", [(7, 10), (13, 5)])
+    @pytest.mark.parametrize("k,s", [(1, 1), (3, 2), (5, 4), (9, 8), (5, 2), (9, 1)])
+    def test_weight_grads_agree_with_roles_swapped(self, k, s, h, w):
+        spec, tspec, x, weight, d_out = self._case(k, s, h, w)
+        _, d_w, _ = conv2d_backward(x, weight, spec, d_out)
+        # convT from the conv's output grid back to its input grid: x and
+        # d_out trade places, the kernel is the same array
+        d_t, d_wt, _ = convT2d_backward(d_out, weight, tspec, x)
+        assert np.array_equal(d_w, d_wt)
+        assert np.array_equal(d_t, conv2d_forward(x, weight, None, spec))
+
+    def test_conv_backward_rejects_misshaped_weights(self):
+        spec = ConvSpec(3, 2, 2, 3)
+        x = np.ones((1, 2, 6, 6))
+        with pytest.raises(ShapeError, match="weights shaped"):
+            conv2d_backward(x, np.ones((3, 2, 5, 5)), spec, np.ones((1, 3, 3, 3)))
 
 
 class TestActivationGradients:

@@ -325,9 +325,11 @@ class TestConfig:
         assert cfg.threshold == 0.4
         assert cfg.augment is False
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # eval_resolution and deterministic once parsed but changed nothing
+    @pytest.mark.parametrize("key", ["learning_rate", "eval_resolution", "deterministic"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.cfg"
-        path.write_text("learning_rate = 0.1\n")
+        path.write_text(f"{key} = 0.1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
 
