@@ -16,7 +16,6 @@ from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .graph import build_mvfcn, forward, infer_shapes, summary
 from .io import (
     GtMapping,
-    RunConfig,
     _index_files,
     apply_state,
     discover_dataset,
@@ -34,7 +33,7 @@ from .metrics import evaluate_sequence, format_report
 from .postproc import otsu_threshold, remove_small_regions, threshold_global
 from .rng import EngineRng
 from .tensor import INFER, resize_nearest
-from .train import AugmentConfig, Sample, TrainConfig, train_loop
+from .train import Sample, train_loop
 
 NETWORK_INPUT = (240, 320)
 
@@ -43,10 +42,7 @@ def _parse_size(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text.strip())
     if not m:
         raise ConfigError(f"input size must look like 240x320, got {text!r}")
-    h, w = int(m.group(1)), int(m.group(2))
-    if h % 16 or w % 16:
-        raise ConfigError(f"input size {h}x{w} must be divisible by 16")
-    return h, w
+    return int(m.group(1)), int(m.group(2))
 
 
 def cmd_summary(args) -> int:
@@ -55,29 +51,6 @@ def cmd_summary(args) -> int:
     infer_shapes(graph, (3, h, w))  # fail fast before printing anything
     print(summary(graph, (3, h, w)))
     return 0
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        base_lr=cfg.base_lr,
-        lr_decay_factor=cfg.lr_decay_factor,
-        lr_decay_every=cfg.lr_decay_every,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        dropout_rate=cfg.dropout_rate,
-        seed=cfg.seed,
-        augment=AugmentConfig(
-            max_rotation_deg=cfg.max_rotation_deg,
-            shift_fraction=cfg.shift_fraction,
-            zoom_fraction=cfg.zoom_fraction,
-            enabled=cfg.augment,
-        ),
-        adam_beta1=cfg.adam_beta1,
-        adam_beta2=cfg.adam_beta2,
-        adam_eps=cfg.adam_eps,
-        bn_momentum=cfg.bn_momentum,
-        split_ratio=cfg.split_ratio,
-    )
 
 
 def load_samples(manifest, size, mapping: GtMapping, normalize: bool = True):
@@ -104,12 +77,12 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     manifest = discover_dataset(args.data)
     samples = load_samples(manifest, (cfg.input_height, cfg.input_width),
-                           cfg.gt_mapping(), cfg.normalize_inputs)
+                           cfg.gt, cfg.normalize_inputs)
     init = None
     if args.init is not None:
         # structural validation happens once train_loop owns the live graph
         init = load_checkpoint(args.init)
-    result = train_loop(samples, _train_config(cfg), init=init)
+    result = train_loop(samples, cfg.train, init=init)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, result.best)

@@ -1,6 +1,13 @@
 """File formats: PGM/PPM image codec, ground-truth label decoding, dataset
 discovery, the binary checkpoint format, and key=value config parsing.
 
+The config section holds the whole config-file schema. Each key is one typed
+field of ``RunConfig`` (input preprocessing), ``TrainConfig`` (training,
+imported by ``train``), its nested ``AugmentConfig``, or ``GtMapping`` (the
+``gt_*`` keys); that field carries the key's one default, and its class's
+``__post_init__`` its one range check, for files and direct construction
+alike. ``parse_config`` derives its key table from those fields.
+
 Checkpoint layout (all little-endian):
 
     magic "MVFC" | u32 version | u64 fingerprint | u32 entry_count
@@ -19,7 +26,8 @@ checkpoint only loads into a graph with the identical layer layout.
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -439,54 +447,91 @@ def save_scoremap(score, path) -> None:
 
 def load_scoremap(path):
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if data[:4] != SCORE_MAGIC or len(data) < 12:
         raise DataError(f"{path}: not a score-map sidecar")
     h, w = struct.unpack_from("<II", data, 4)
     need = 12 + 4 * h * w
-    if len(data) < need:
-        raise DataError(f"{path}: truncated score map")
-    return np.frombuffer(data[12:need], dtype="<f4").reshape(h, w).copy()
+    if len(data) != need:
+        raise DataError(f"{path}: {len(data)} bytes, a {h}x{w} score map takes {need}")
+    return np.frombuffer(data[12:], dtype="<f4").reshape(h, w).copy()
 
 
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Flat engine configuration; every field maps to one config-file key."""
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
-    seed: int = 7
-    input_height: int = 240
-    input_width: int = 320
-    normalize_inputs: bool = True
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    """Random affine jitter applied identically to a frame and its mask."""
+
+    max_rotation_deg: float = 10.0
+    shift_fraction: float = 0.1
+    zoom_fraction: float = 0.1
+    enabled: bool = field(default=True, metadata={"key": "augment"})
+
+    def __post_init__(self):
+        _require(0 <= self.max_rotation_deg < 180, "max_rotation_deg must be in [0, 180)")
+        _require(0 <= self.shift_fraction < 1, "shift_fraction must be in [0, 1)")
+        _require(0 <= self.zoom_fraction < 1, "zoom_fraction must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Settings of one per-sequence training run."""
+
     base_lr: float = 2e-4
     lr_decay_factor: float = 0.8
     lr_decay_every: int = 5          # 0 disables the schedule
     batch_size: int = 8
     max_epochs: int = 30
     dropout_rate: float = 0.3
-    augment: bool = True
-    max_rotation_deg: float = 10.0
-    shift_fraction: float = 0.1
-    zoom_fraction: float = 0.1
+    seed: int = 7
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     bn_momentum: float = 0.99
     split_ratio: float = 0.7
-    threshold: float | str = "otsu"  # "otsu" or a float in [0, 1]
-    min_area: int = 50
-    connectivity: int = 8
-    gt_foreground: tuple[int, ...] = (255,)
-    gt_background: tuple[int, ...] = (0, 50)
-    gt_exclude: tuple[int, ...] = (85, 170)
-    gt_strict: bool = True
 
-    def gt_mapping(self) -> GtMapping:
-        return GtMapping(self.gt_foreground, self.gt_background,
-                         self.gt_exclude, self.gt_strict)
+    def __post_init__(self):
+        _require(self.seed >= 0, "seed must be non-negative")
+        _require(self.base_lr > 0, "base_lr must be positive")
+        _require(0 < self.lr_decay_factor < 1, "lr_decay_factor must be in (0, 1)")
+        _require(self.lr_decay_every >= 0, "lr_decay_every must be >= 0")
+        _require(self.batch_size >= 1, "batch_size must be >= 1")
+        _require(self.max_epochs >= 1, "max_epochs must be >= 1")
+        _require(0 <= self.dropout_rate < 1, "dropout_rate must be in [0, 1)")
+        _require(0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1,
+                 "adam betas must be in (0, 1)")
+        _require(self.adam_eps > 0, "adam_eps must be positive")
+        _require(0 < self.bn_momentum < 1, "bn_momentum must be in (0, 1)")
+        _require(0 < self.split_ratio < 1, "split_ratio must be in (0, 1)")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed config file: the input preprocessing, plus the training
+    settings and the ground-truth label mapping it carries."""
+
+    input_height: int = 240
+    input_width: int = 320
+    normalize_inputs: bool = True
+    train: TrainConfig = field(default_factory=TrainConfig)
+    gt: GtMapping = field(default_factory=GtMapping)
+
+    def __post_init__(self):
+        h, w = self.input_height, self.input_width
+        _require(h > 0 and w > 0, "input size must be positive")
+        _require(h % 16 == 0 and w % 16 == 0, f"input size {h}x{w} must be divisible by 16")
 
 
 def _parse_bool(value: str) -> bool:
@@ -503,74 +548,21 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {value!r}") from exc
 
 
-def _parse_threshold(value: str):
-    v = value.strip().lower()
-    if v == "otsu":
-        return "otsu"
-    try:
-        t = float(v)
-    except ValueError as exc:
-        raise ConfigError(f"threshold must be 'otsu' or a number, got {value!r}") from exc
-    return t
+def _config_keys() -> dict:
+    """File key -> (owner class, field name, parser) for every typed field of
+    the four owners. A key is its field's name, ``gt_`` + the name for the
+    label mapping, or the ``key`` in the field's metadata."""
+    parsers = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_int_list}
+    table = {}
+    for owner, prefix in ((RunConfig, ""), (TrainConfig, ""), (AugmentConfig, ""),
+                          (GtMapping, "gt_")):
+        for f in fields(owner):
+            if f.type in parsers:
+                table[f.metadata.get("key", prefix + f.name)] = (owner, f.name, parsers[f.type])
+    return table
 
 
-_CONFIG_PARSERS = {
-    "seed": int,
-    "input_height": int,
-    "input_width": int,
-    "normalize_inputs": _parse_bool,
-    "base_lr": float,
-    "lr_decay_factor": float,
-    "lr_decay_every": int,
-    "batch_size": int,
-    "max_epochs": int,
-    "dropout_rate": float,
-    "augment": _parse_bool,
-    "max_rotation_deg": float,
-    "shift_fraction": float,
-    "zoom_fraction": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "bn_momentum": float,
-    "split_ratio": float,
-    "threshold": _parse_threshold,
-    "min_area": int,
-    "connectivity": int,
-    "gt_foreground": _parse_int_list,
-    "gt_background": _parse_int_list,
-    "gt_exclude": _parse_int_list,
-    "gt_strict": _parse_bool,
-}
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    def check(cond, message):
-        if not cond:
-            raise ConfigError(message)
-
-    check(cfg.seed >= 0, "seed must be non-negative")
-    check(cfg.input_height > 0 and cfg.input_width > 0, "input size must be positive")
-    check(cfg.input_height % 16 == 0 and cfg.input_width % 16 == 0,
-          f"input size {cfg.input_height}x{cfg.input_width} must be divisible by 16")
-    check(cfg.base_lr > 0, "base_lr must be positive")
-    check(0 < cfg.lr_decay_factor < 1, "lr_decay_factor must be in (0, 1)")
-    check(cfg.lr_decay_every >= 0, "lr_decay_every must be >= 0")
-    check(cfg.batch_size >= 1, "batch_size must be >= 1")
-    check(cfg.max_epochs >= 1, "max_epochs must be >= 1")
-    check(0 <= cfg.dropout_rate < 1, "dropout_rate must be in [0, 1)")
-    check(0 <= cfg.max_rotation_deg < 180, "max_rotation_deg must be in [0, 180)")
-    check(0 <= cfg.shift_fraction < 1, "shift_fraction must be in [0, 1)")
-    check(0 <= cfg.zoom_fraction < 1, "zoom_fraction must be in [0, 1)")
-    check(0 < cfg.adam_beta1 < 1 and 0 < cfg.adam_beta2 < 1, "adam betas must be in (0, 1)")
-    check(cfg.adam_eps > 0, "adam_eps must be positive")
-    check(0 < cfg.bn_momentum < 1, "bn_momentum must be in (0, 1)")
-    check(0 < cfg.split_ratio < 1, "split_ratio must be in (0, 1)")
-    if cfg.threshold != "otsu":
-        check(0.0 <= float(cfg.threshold) <= 1.0, "threshold must be in [0, 1]")
-    check(cfg.min_area >= 0, "min_area must be non-negative")
-    check(cfg.connectivity in (4, 8), "connectivity must be 4 or 8")
-    return cfg
+_CONFIG_KEYS = _config_keys()
 
 
 def parse_config(path) -> RunConfig:
@@ -583,7 +575,7 @@ def parse_config(path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = {}
+    values = defaultdict(dict)  # owner class -> {field name: parsed value}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -592,12 +584,14 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
+        owner, name, parse = _CONFIG_KEYS[key]
+        if name in values[owner]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
+            values[owner][name] = parse(value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return validate_config(RunConfig(**values))
+    train = TrainConfig(augment=AugmentConfig(**values[AugmentConfig]), **values[TrainConfig])
+    return RunConfig(train=train, gt=GtMapping(**values[GtMapping]), **values[RunConfig])

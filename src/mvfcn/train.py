@@ -14,58 +14,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .graph import ModelGraph, backward, build_mvfcn, forward
-from .io import CheckpointPayload, apply_state, snapshot_state, validate_payload
+from .io import (AugmentConfig, CheckpointPayload, TrainConfig, apply_state,
+                 snapshot_state, validate_payload)
 from .metrics import ConfusionCounts, confusion, fom
 from .postproc import otsu_threshold, threshold_global
 from .rng import EngineRng
 from .tensor import INFER, TRAIN, sigmoid
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Random affine jitter applied identically to a frame and its mask."""
-
-    max_rotation_deg: float = 10.0
-    shift_fraction: float = 0.1
-    zoom_fraction: float = 0.1
-    enabled: bool = True
-
-    def __post_init__(self):
-        if not 0 <= self.max_rotation_deg < 180:
-            raise ConfigError("max_rotation_deg must be in [0, 180)")
-        if not 0 <= self.shift_fraction < 1:
-            raise ConfigError("shift_fraction must be in [0, 1)")
-        if not 0 <= self.zoom_fraction < 1:
-            raise ConfigError("zoom_fraction must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    base_lr: float = 2e-4
-    lr_decay_factor: float = 0.8
-    lr_decay_every: int = 5          # 0 disables the schedule
-    batch_size: int = 8
-    max_epochs: int = 30
-    dropout_rate: float = 0.3
-    seed: int = 7
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    bn_momentum: float = 0.99
-    split_ratio: float = 0.7
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
-        if not 0 < self.lr_decay_factor < 1:
-            raise ConfigError("lr_decay_factor must be in (0, 1)")
-        if self.lr_decay_every < 0:
-            raise ConfigError("lr_decay_every must be >= 0")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError("dropout_rate must be in [0, 1)")
 
 
 @dataclass

@@ -208,6 +208,12 @@ class TestBinarize:
                        "--out", tmp_path / "m") == 3
         assert "duplicate frame index 1" in capsys.readouterr().err
 
+    def test_unreadable_sidecar_exits_3(self, tmp_path, score_dir, capsys):
+        (score_dir / "in000002.f32").mkdir()
+        assert run_cli("binarize", "--scores", score_dir, "--method", "global:0.5",
+                       "--out", tmp_path / "m") == 3
+        assert "cannot read" in capsys.readouterr().err
+
     def test_bad_method_exits_2(self, tmp_path, score_dir):
         assert run_cli("binarize", "--scores", score_dir, "--method", "magic",
                        "--out", tmp_path / "m") == 2

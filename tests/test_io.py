@@ -1,13 +1,20 @@
 """Image codec, ground-truth decoding, dataset discovery, checkpoints,
 and config parsing."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mvfcn import EngineRng, build_mvfcn
 from mvfcn.errors import CheckpointError, ConfigError, DataError
 from mvfcn.io import (
+    _CONFIG_KEYS,
+    AugmentConfig,
     GtMapping,
+    RunConfig,
+    TrainConfig,
     apply_state,
     discover_dataset,
     load_checkpoint,
@@ -295,18 +302,85 @@ class TestScoremapSidecar:
         with pytest.raises(DataError):
             load_scoremap(tmp_path / "t.f32")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_scoremap(np.zeros((4, 4), np.float32), tmp_path / "t.f32")
+        with open(tmp_path / "t.f32", "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(DataError, match="4x4 score map takes 76"):
+            load_scoremap(tmp_path / "t.f32")
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            load_scoremap(tmp_path / "absent.f32")
+
+
+# every accepted config key: (key, file value, owner field path, parsed value);
+# each value differs from the key's default
+CONFIG_ROUTES = [
+    ("seed", "3", "train.seed", 3),
+    ("input_height", "64", "input_height", 64),
+    ("input_width", "96", "input_width", 96),
+    ("normalize_inputs", "false", "normalize_inputs", False),
+    ("base_lr", "0.001", "train.base_lr", 0.001),
+    ("lr_decay_factor", "0.5", "train.lr_decay_factor", 0.5),
+    ("lr_decay_every", "0", "train.lr_decay_every", 0),
+    ("batch_size", "2", "train.batch_size", 2),
+    ("max_epochs", "3", "train.max_epochs", 3),
+    ("dropout_rate", "0", "train.dropout_rate", 0.0),
+    ("augment", "false", "train.augment.enabled", False),
+    ("max_rotation_deg", "5", "train.augment.max_rotation_deg", 5.0),
+    ("shift_fraction", "0.2", "train.augment.shift_fraction", 0.2),
+    ("zoom_fraction", "0.3", "train.augment.zoom_fraction", 0.3),
+    ("adam_beta1", "0.8", "train.adam_beta1", 0.8),
+    ("adam_beta2", "0.99", "train.adam_beta2", 0.99),
+    ("adam_eps", "1e-6", "train.adam_eps", 1e-6),
+    ("bn_momentum", "0.9", "train.bn_momentum", 0.9),
+    ("split_ratio", "0.5", "train.split_ratio", 0.5),
+    ("gt_foreground", "200,255", "gt.foreground", (200, 255)),
+    ("gt_background", "0", "gt.background", (0,)),
+    ("gt_exclude", "", "gt.exclude", ()),
+    ("gt_strict", "false", "gt.strict", False),
+]
+
+# (owner, field, out-of-range value); fields are named as their file keys
+OUT_OF_RANGE = [
+    (TrainConfig, "seed", -1),
+    (TrainConfig, "base_lr", 0.0),
+    (TrainConfig, "lr_decay_factor", 1.0),
+    (TrainConfig, "lr_decay_every", -1),
+    (TrainConfig, "batch_size", 0),
+    (TrainConfig, "max_epochs", 0),
+    (TrainConfig, "dropout_rate", 1.0),
+    (TrainConfig, "adam_beta1", 2.0),
+    (TrainConfig, "adam_beta2", 0.0),
+    (TrainConfig, "adam_eps", 0.0),
+    (TrainConfig, "bn_momentum", 1.0),
+    (TrainConfig, "split_ratio", 1.5),
+    (AugmentConfig, "max_rotation_deg", 180.0),
+    (AugmentConfig, "shift_fraction", -0.1),
+    (AugmentConfig, "zoom_fraction", 1.0),
+    (RunConfig, "input_height", 0),
+    (RunConfig, "input_width", 100),
+]
+
+
+def _field(obj, path):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
 
 class TestConfig:
     def test_defaults_from_empty_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# nothing but a comment\n")
         cfg = parse_config(path)
-        assert cfg.base_lr == 2e-4
-        assert cfg.batch_size == 8
-        assert cfg.max_epochs == 30
-        assert cfg.dropout_rate == 0.3
-        assert cfg.threshold == "otsu"
-        assert cfg.min_area == 50
+        assert cfg.train.base_lr == 2e-4
+        assert cfg.train.batch_size == 8
+        assert cfg.train.max_epochs == 30
+        assert cfg.train.dropout_rate == 0.3
+        assert cfg == RunConfig()
+        assert (cfg.train, cfg.gt) == (TrainConfig(), GtMapping())
 
     def test_full_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -315,23 +389,56 @@ class TestConfig:
             "input_height = 64\n"
             "input_width = 64\n"
             "base_lr = 0.001\n"
-            "threshold = 0.4\n"
+            "split_ratio = 0.6\n"
             "gt_background = 0,50\n"
             "augment = false\n"
         )
         cfg = parse_config(path)
-        assert cfg.seed == 11
+        assert cfg.train.seed == 11
         assert (cfg.input_height, cfg.input_width) == (64, 64)
-        assert cfg.threshold == 0.4
-        assert cfg.augment is False
+        assert cfg.train.split_ratio == 0.6
+        assert cfg.train.augment.enabled is False
 
-    # eval_resolution and deterministic once parsed but changed nothing
-    @pytest.mark.parametrize("key", ["learning_rate", "eval_resolution", "deterministic"])
+    # the other keys once parsed but changed nothing; binarize takes
+    # --method/--min-area/--connectivity instead of the last three
+    @pytest.mark.parametrize("key", ["learning_rate", "eval_resolution", "deterministic",
+                                     "threshold", "min_area", "connectivity"])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.cfg"
         path.write_text(f"{key} = 0.1\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(path)
+
+    @pytest.mark.parametrize("key, text, path, value", CONFIG_ROUTES,
+                             ids=[route[0] for route in CONFIG_ROUTES])
+    def test_key_lands_in_its_owner_field(self, tmp_path, key, text, path, value):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"{key} = {text}\n")
+        assert _field(RunConfig(), path) != value
+        assert _field(parse_config(cfg_path), path) == value
+
+    def test_routes_cover_every_key(self):
+        assert {route[0] for route in CONFIG_ROUTES} == set(_CONFIG_KEYS)
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines()
+                if line.startswith("| `")]
+        documented = {key for row in rows for key in re.findall(r"`(\w+)`", row)}
+        assert documented == set(_CONFIG_KEYS)
+
+    @pytest.mark.parametrize("owner, name, value", OUT_OF_RANGE,
+                             ids=[f"{name}={value}" for _, name, value in OUT_OF_RANGE])
+    def test_out_of_range_rejected_by_file_and_constructor(self, tmp_path, owner,
+                                                           name, value):
+        with pytest.raises(ConfigError) as direct:
+            owner(**{name: value})
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{name} = {value}\n")
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(path)
+        assert str(from_file.value) == str(direct.value)
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
