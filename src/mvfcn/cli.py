@@ -31,7 +31,6 @@ from .io import (
 )
 from .metrics import evaluate_sequence, format_report
 from .postproc import otsu_threshold, remove_small_regions, threshold_global
-from .rng import EngineRng
 from .tensor import INFER, resize_nearest
 from .train import Sample, train_loop
 
@@ -98,7 +97,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     graph = build_mvfcn()
-    graph.initialize_parameters(EngineRng(0))  # placeholder, overwritten below
+    graph.allocate_parameters()
     payload = load_checkpoint(args.ckpt, graph)
     apply_state(graph, payload)
     out_dir = Path(args.out)

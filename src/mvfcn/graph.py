@@ -116,28 +116,35 @@ class ModelGraph:
         return spec_type(layer.kernel, layer.stride, self.channels[layer.inputs[0]],
                          layer.out_channels)
 
-    def initialize_parameters(self, rng, dtype=np.float32) -> None:
-        """Fan-in scaled uniform weights, zero biases, identity batch norm.
-
-        Draws happen in ascending layer order so a fixed seed reproduces the
-        exact same parameters.
-        """
+    def allocate_parameters(self, dtype=np.float32) -> None:
+        """Zero weights and biases, identity batch norm: the arrays a
+        checkpoint is copied into, drawn from no rng."""
         self.params.clear()
         self.bn_states.clear()
         for layer in self.layers:
             if layer.kind in CONV_KINDS:
-                spec = self.conv_spec(layer)
-                fan_in = spec.in_channels * layer.kernel * layer.kernel
-                limit = math.sqrt(6.0 / fan_in)
-                weight = rng.uniform(-limit, limit, size=spec.weight_shape())
                 self.params[layer.id] = {
-                    "weight": weight.astype(dtype),
+                    "weight": np.zeros(self.conv_spec(layer).weight_shape(), dtype=dtype),
                     "bias": np.zeros(layer.out_channels, dtype=dtype),
                 }
             elif layer.kind == "batchnorm":
                 self.bn_states[layer.id] = BatchNormState.create(
                     self.channels[layer.id], momentum=self.bn_momentum, dtype=dtype
                 )
+
+    def initialize_parameters(self, rng, dtype=np.float32) -> None:
+        """Fan-in scaled uniform weights, zero biases, identity batch norm.
+
+        Draws happen in ascending layer order so a fixed seed reproduces the
+        exact same parameters.
+        """
+        self.allocate_parameters(dtype)
+        for layer in self.layers:
+            if layer.kind in CONV_KINDS:
+                spec = self.conv_spec(layer)
+                limit = math.sqrt(6.0 / (spec.in_channels * layer.kernel * layer.kernel))
+                weight = self.params[layer.id]["weight"]
+                weight[...] = rng.uniform(-limit, limit, size=weight.shape)
 
     def parameter_items(self):
         """Yield (layer_id, name, array) for every trainable tensor, in the
@@ -213,18 +220,24 @@ def build_mvfcn(in_channels: int = 3, dropout_rate: float = 0.3,
                       bn_momentum=bn_momentum)
 
 
+def _check_input(graph: ModelGraph, c: int, h: int, w: int) -> None:
+    if c != graph.in_channels:
+        raise ShapeError(f"input has {c} channels, graph expects {graph.in_channels}")
+    if h < 1 or w < 1:
+        raise ShapeError(f"input size {h}x{w} must be positive")
+    d = graph.input_divisor
+    if h % d or w % d:
+        raise ShapeError(f"input size {h}x{w} is not divisible by {d}")
+
+
 def infer_shapes(graph: ModelGraph, input_shape) -> dict[int, tuple[int, int, int]]:
     """Static per-layer output shapes (c, h, w) for a symbolic batch.
 
     Fails fast on channel mismatches, concat spatial disagreements, or an
-    input size the upsampling stages cannot reproduce exactly.
+    empty input or one the upsampling stages cannot reproduce exactly.
     """
     c, h, w = input_shape
-    if c != graph.in_channels:
-        raise ShapeError(f"input has {c} channels, graph expects {graph.in_channels}")
-    d = graph.input_divisor
-    if h % d or w % d:
-        raise ShapeError(f"input size {h}x{w} is not divisible by {d}")
+    _check_input(graph, c, h, w)
     shapes: dict[int, tuple[int, int, int]] = {}
     for layer in graph.layers:
         if layer.kind == "input":
@@ -288,12 +301,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be rank-4, got {x.shape}")
-    n, c, h, w = x.shape
-    if c != graph.in_channels:
-        raise ShapeError(f"input has {c} channels, graph expects {graph.in_channels}")
-    d = graph.input_divisor
-    if h % d or w % d:
-        raise ShapeError(f"input size {h}x{w} is not divisible by {d}")
+    _check_input(graph, *x.shape[1:])
 
     cache = ForwardCache(mode=mode)
     last = graph.layers[-1]
@@ -360,12 +368,16 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final,
             elif layer.activation == "sigmoid":
                 d = sigmoid_backward(d, out)
         if layer.kind in CONV_KINDS:
+            src = layer.inputs[0]
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
-            d_x, d_w, d_b = conv_backward(cache.outputs[layer.inputs[0]],
+            # nothing consumes the gradient w.r.t. the graph input
+            d_x, d_w, d_b = conv_backward(cache.outputs[src],
                                           graph.params[layer.id]["weight"],
-                                          graph.conv_spec(layer), d)
+                                          graph.conv_spec(layer), d,
+                                          input_grad=graph.by_id[src].kind != "input")
             grads[layer.id] = {"weight": d_w, "bias": d_b}
-            _accumulate(d_acc, layer.inputs[0], d_x)
+            if d_x is not None:
+                _accumulate(d_acc, src, d_x)
         elif layer.kind == "concat":
             widths = [graph.channels[i] for i in layer.inputs]
             for src, part in zip(layer.inputs, concat_backward(d, widths)):

@@ -105,6 +105,11 @@ def transpose_output_size(in_size: int, kernel: int, stride: int,
     return stride * (in_size - 1) + alpha + kernel - 2 * padding
 
 
+# Bytes one row block's column matrix may take. Blocks hold at least one
+# output row, so a single row wider than this still runs, unsplit.
+COLUMN_BUDGET = 4 << 20
+
+
 def _taps(k: int, s: int, oh: int, ow: int):
     """Walk the k*k kernel taps of a stride-``s`` window over an oh x ow
     grid, yielding (ki, kj, rows, cols): the slices of the padded big side
@@ -119,14 +124,53 @@ def _taps(k: int, s: int, oh: int, ow: int):
                    slice(kj, kj + (ow - 1) * s + 1, s))
 
 
+def _row_blocks(oh: int, row_bytes: int):
+    """Split oh small-side rows into (first_row, rows) blocks whose column
+    matrix, ``row_bytes`` per row, fits in COLUMN_BUDGET."""
+    step = max(1, min(oh, COLUMN_BUDGET // row_bytes))
+    for r0 in range(0, oh, step):
+        yield r0, min(step, oh - r0)
+
+
+def _window(big, k: int, s: int, r0: int, rows: int):
+    """The rows of the padded big side that small-side rows r0..r0+rows-1
+    reach through the kernel; :func:`_taps` over (rows, ow) slices it."""
+    return big[..., r0 * s:(r0 + rows - 1) * s + k, :]
+
+
+def _column_blocks(big, k: int, s: int, oh: int, ow: int):
+    """Im2col of the padded big side (n, c, ...), one image at a time in
+    blocks of small-side rows: yield (i, r0, rows, cols), cols being the
+    (k*k*c, rows*ow) matrix of image i whose row (ki, kj, ci) holds channel
+    ci of tap (ki, kj)'s window. ``cols`` is a view of one buffer reused
+    by every block."""
+    n, c = big.shape[:2]
+    if k == s == 1:  # a 1x1 kernel's columns are the image itself
+        for i in range(n):
+            yield i, 0, oh, big[i].reshape(c, -1)
+        return
+    blocks = list(_row_blocks(oh, k * k * c * ow * big.itemsize))
+    buf = np.empty(k * k * c * blocks[0][1] * ow, dtype=big.dtype)
+    for i in range(n):
+        for r0, rows in blocks:
+            cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
+            window = _window(big[i], k, s, r0, rows)
+            for ki, kj, r, q in _taps(k, s, rows, ow):
+                cols[ki, kj] = window[:, r, q]
+            yield i, r0, rows, cols.reshape(k * k * c, -1)
+
+
 def _weight_grad(small, padded, weights, s: int):
     """Kernel gradient shared by both convolutions: each tap correlates the
     small side (n, a, oh, ow) with its window of the padded big side
-    (n, b, ...), giving an (a, b) slice of a weights-shaped array."""
-    d_w = np.zeros_like(weights)
-    for ki, kj, rows, cols in _taps(weights.shape[-1], s, *small.shape[2:]):
-        d_w[:, :, ki, kj] = np.tensordot(small, padded[:, :, rows, cols],
-                                         axes=([0, 2, 3], [0, 2, 3]))
+    (n, b, ...), giving an (a, b) slice of a weights-shaped array. One GEMM
+    per row block against the big side's column matrix."""
+    n, a, oh, ow = small.shape
+    k = weights.shape[-1]
+    acc = sum(small[i, :, r0:r0 + rows].reshape(a, -1) @ cols.T
+              for i, r0, rows, cols in _column_blocks(padded, k, s, oh, ow))
+    d_w = np.empty_like(weights)
+    d_w[...] = acc.reshape(a, k, k, -1).transpose(0, 3, 1, 2)
     return d_w
 
 
@@ -148,7 +192,7 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
 
     x: (n, cin, h, w); weights: (cout, cin, k, k); bias: (cout,) or None.
     Returns (n, cout, ceil(h/s), ceil(w/s)). Each output neuron gathers
-    its window through the kernel.
+    its window through the kernel: one GEMM per block of output rows.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -157,21 +201,23 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
     pl, pr, ow = same_floor_padding(w, k, s)
     if oh < 1 or ow < 1:
         raise ShapeError(f"empty output {oh}x{ow} after striding")
-    xp = _pad_input(x, pt, pb, pl, pr)
-    acc = np.zeros((spec.out_channels, n, oh, ow), dtype=xp.dtype)
-    for ki, kj, rows, cols in _taps(k, s, oh, ow):
-        acc += np.tensordot(weights[:, :, ki, kj], xp[:, :, rows, cols], axes=(1, 1))
-    out = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
+    cout = spec.out_channels
+    w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
+    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
+    for i, r0, rows, cols in _column_blocks(_pad_input(x, pt, pb, pl, pr), k, s, oh, ow):
+        # each channel's block rows are contiguous, so the reshape is a view
+        np.matmul(w_mat, cols, out=out[i, :, r0:r0 + rows].reshape(cout, -1))
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
     return out
 
 
-def conv2d_backward(x, weights, spec: ConvSpec, d_out):
+def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     """Gradients of a scalar loss through :func:`conv2d_forward`.
 
     d_x is exactly a transposed convolution of d_out with the same kernel.
-    Returns (d_x, d_weights, d_bias) with shapes matching the forward inputs.
+    Returns (d_x, d_weights, d_bias) with shapes matching the forward inputs;
+    d_x is None when ``input_grad`` is off.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -184,8 +230,10 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out):
             f"upstream gradient shaped {d_out.shape}, forward produced "
             f"{(n, spec.out_channels, oh, ow)}"
         )
-    adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
-    d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
+    d_x = None
+    if input_grad:
+        adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
+        d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
     d_w = _weight_grad(d_out, _pad_input(x, pt, pb, pl, pr), weights, s)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
@@ -195,7 +243,9 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
 
     Equivalent to dilating the input with stride-1 interleaved zeros plus the
     edge zeros counted by :func:`transpose_alpha`, then convolving at unit
-    stride; implemented directly as the adjoint of :func:`conv2d_forward`.
+    stride; implemented directly as the adjoint of :func:`conv2d_forward`:
+    per block of input rows one GEMM gives every tap's slab, which is
+    scatter-added through the same windows the convolution gathers from.
     Default output size is (stride*h, stride*w).
     """
     x, weights = _check_conv_inputs(x, weights, spec)
@@ -208,21 +258,28 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
         raise ShapeError(
             f"target {out_h}x{out_w} is not a stride-{s} preimage of input {h}x{w}"
         )
-    buf = np.zeros((n, spec.out_channels, out_h + pt + pb, out_w + pl + pr),
-                   dtype=x.dtype)
-    for ki, kj, rows, cols in _taps(k, s, h, w):
-        buf[:, :, rows, cols] += np.moveaxis(
-            np.tensordot(weights[:, :, ki, kj], x, axes=(0, 1)), 0, 1)
+    cout = spec.out_channels
+    w_mat = weights.transpose(2, 3, 1, 0).reshape(-1, c)
+    buf = np.zeros((n, cout, out_h + pt + pb, out_w + pl + pr), dtype=x.dtype)
+    for i in range(n):
+        for r0, rows in _row_blocks(h, k * k * cout * w * x.itemsize):
+            slabs = w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)
+            slabs = slabs.reshape(k, k, cout, rows, w)
+            window = _window(buf[i], k, s, r0, rows)
+            for ki, kj, r, q in _taps(k, s, rows, w):
+                window[:, r, q] += slabs[ki, kj]
     out = np.ascontiguousarray(buf[:, :, pt:pt + out_h, pl:pl + out_w])
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
     return out
 
 
-def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out):
+def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
+                     input_grad: bool = True):
     """Gradients through :func:`convT2d_forward`.
 
-    d_x is exactly a forward convolution of d_out with the same kernel.
+    d_x is exactly a forward convolution of d_out with the same kernel, or
+    None when ``input_grad`` is off.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -240,8 +297,10 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out):
         raise ShapeError(
             f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
         )
-    adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
-    d_x = conv2d_forward(d_out, weights, None, adjoint)
+    d_x = None
+    if input_grad:
+        adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
+        d_x = conv2d_forward(d_out, weights, None, adjoint)
     d_w = _weight_grad(x, _pad_input(d_out, pt, pb, pl, pr), weights, s)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
@@ -388,13 +447,21 @@ def dropout(x, rate: float, rng, mode: str = TRAIN):
     if mode != TRAIN:
         raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     mask = rng.uniform(size=x.shape) >= rate
-    return x * (mask / (1.0 - rate)).astype(x.dtype), mask
+    return _scale_kept(x, mask, rate), mask
 
 
 def dropout_backward(d_out, mask, rate: float):
     if mask is None:
         return d_out
-    return d_out * (mask / (1.0 - rate)).astype(d_out.dtype)
+    return _scale_kept(d_out, mask, rate)
+
+
+def _scale_kept(x, mask, rate: float):
+    """x where the bool mask keeps it, scaled by 1 / (1 - rate) in x's own
+    dtype; zero (signed as x * 0) where it drops."""
+    y = x * mask
+    y *= y.dtype.type(1.0 / (1.0 - rate))
+    return y
 
 
 def resize_nearest(image, target_h: int, target_w: int):

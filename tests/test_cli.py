@@ -68,6 +68,11 @@ class TestSummary:
     def test_indivisible_size_exits_2(self, capsys):
         assert run_cli("summary", "--input-size", "241x320") == 2
 
+    @pytest.mark.parametrize("size", ["0x0", "0x320", "240x0"])
+    def test_empty_size_exits_2(self, capsys, size):
+        assert run_cli("summary", "--input-size", size) == 2
+        assert capsys.readouterr().out == ""
+
     def test_garbage_size_exits_2(self):
         assert run_cli("summary", "--input-size", "large") == 2
 
@@ -131,6 +136,23 @@ class TestInfer:
             assert run_cli("infer", "--ckpt", trained_ckpt, "--in", frame,
                            "--out", out) == 0
         assert (out_a / "in000002.pgm").read_bytes() == (out_b / "in000002.pgm").read_bytes()
+
+    def test_loads_checkpoint_without_drawing_weights(self, tmp_path, monkeypatch,
+                                                     trained_ckpt, dataset_tree):
+        from mvfcn.graph import ModelGraph
+        frame = dataset_tree / "input" / "in000003.ppm"
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", frame,
+                       "--out", tmp_path / "a", "--save-scores") == 0
+
+        def no_draws(self, rng, dtype=None):
+            raise AssertionError("infer drew weights that the checkpoint overwrites")
+
+        monkeypatch.setattr(ModelGraph, "initialize_parameters", no_draws)
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", frame,
+                       "--out", tmp_path / "b", "--save-scores") == 0
+        for name in ("in000003.pgm", "in000003.f32"):
+            a, b = (tmp_path / side / name for side in "ab")
+            assert a.read_bytes() == b.read_bytes()
 
     def test_resizes_any_input(self, tmp_path, trained_ckpt):
         from mvfcn.io import save_image

@@ -16,6 +16,7 @@ from mvfcn import (
     backward,
     batchnorm_backward,
     batchnorm_forward,
+    build_mvfcn,
     conv2d_backward,
     conv2d_forward,
     convT2d_backward,
@@ -28,6 +29,8 @@ from mvfcn import (
     sigmoid,
     sigmoid_backward,
 )
+from mvfcn import graph as graph_module
+from mvfcn import tensor
 from mvfcn.errors import ShapeError
 from mvfcn.train import bce_loss
 
@@ -172,6 +175,119 @@ class TestConvCore:
         x = np.ones((1, 2, 6, 6))
         with pytest.raises(ShapeError, match="weights shaped"):
             conv2d_backward(x, np.ones((3, 2, 5, 5)), spec, np.ones((1, 3, 3, 3)))
+
+
+def _tap_pairs(small_hw, big_hw, k, s):
+    """Yield (i, j, ki, kj, r, c) for every small-side pixel (i, j) that
+    tap (ki, kj) pairs with big-side pixel (r, c) inside the map, under
+    same-floor padding (ceil(big / s) small rows and columns, any odd
+    padding row/column at the end). Plain loops, independent of the
+    engine's tap walk."""
+    (oh, ow), (h, w) = small_hw, big_hw
+    pt = max((oh - 1) * s + k - h, 0) // 2
+    pl = max((ow - 1) * s + k - w, 0) // 2
+    for i in range(oh):
+        for j in range(ow):
+            for ki in range(k):
+                for kj in range(k):
+                    r, c = i * s + ki - pt, j * s + kj - pl
+                    if 0 <= r < h and 0 <= c < w:
+                        yield i, j, ki, kj, r, c
+
+
+def _direct_sums(x, weight, d_out, k, s):
+    """float64 direct-sum oracle for one geometry: conv(x), convT(d_out)
+    back to x's grid, and the kernel gradient that both conv (upstream
+    d_out) and convT (input d_out, upstream x) must give."""
+    conv = np.zeros(d_out.shape)
+    conv_t = np.zeros(x.shape)
+    d_w = np.zeros(weight.shape)
+    for i, j, ki, kj, r, q in _tap_pairs(d_out.shape[2:], x.shape[2:], k, s):
+        conv[:, :, i, j] += x[:, :, r, q] @ weight[:, :, ki, kj].T
+        conv_t[:, :, r, q] += d_out[:, :, i, j] @ weight[:, :, ki, kj]
+        d_w[:, :, ki, kj] += d_out[:, :, i, j].T @ x[:, :, r, q]
+    return conv, conv_t, d_w
+
+
+class TestConvOracle:
+    """All four conv passes against plain per-pixel, per-tap sums, at every
+    (kernel, stride) pair of the network, odd map sizes and batch 2,
+    including row-blocked column matrices."""
+
+    NETWORK_KS = [(1, 1), (3, 1), (5, 1), (9, 1), (3, 2), (5, 4), (9, 8)]
+
+    @staticmethod
+    def _check(k, s, h, w, cin, cout, seed):
+        r = np.random.default_rng(seed)
+        spec = ConvSpec(k, s, cin, cout)
+        tspec = TransposeConvSpec(k, s, cout, cin)
+        x = r.normal(size=(2, cin, h, w))
+        weight = r.normal(size=spec.weight_shape())
+        d_out = r.normal(size=(2, cout, -(-h // s), -(-w // s)))
+        conv, conv_t, d_w = _direct_sums(x, weight, d_out, k, s)
+        exact = dict(rtol=0, atol=1e-10)
+        np.testing.assert_allclose(conv2d_forward(x, weight, None, spec), conv, **exact)
+        np.testing.assert_allclose(
+            convT2d_forward(d_out, weight, None, tspec, out_hw=(h, w)), conv_t, **exact)
+        np.testing.assert_allclose(conv2d_backward(x, weight, spec, d_out)[1], d_w, **exact)
+        np.testing.assert_allclose(convT2d_backward(d_out, weight, tspec, x)[1], d_w,
+                                   **exact)
+
+    @pytest.mark.parametrize("h,w", [(13, 11), (9, 17)])
+    @pytest.mark.parametrize("k,s", NETWORK_KS)
+    def test_matches_direct_sums(self, k, s, h, w):
+        self._check(k, s, h, w, cin=3, cout=2, seed=k * 100 + s * 10 + h)
+
+    @pytest.mark.parametrize("k,s,h", [(3, 1, 7), (3, 2, 13), (9, 1, 7), (5, 4, 27)])
+    def test_row_blocks_with_a_one_row_remainder(self, monkeypatch, k, s, h):
+        # cin == cout, so every pass's column matrix takes the same bytes
+        # per small-side row: a budget of two rows splits each image's 7
+        # small rows into 2 + 2 + 2 + 1
+        c, w = 2, 11
+        row_bytes = k * k * c * -(-w // s) * 8
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 2 * row_bytes)
+        assert list(tensor._row_blocks(-(-h // s), row_bytes)) == \
+            [(0, 2), (2, 2), (4, 2), (6, 1)]
+        self._check(k, s, h, w, cin=c, cout=c, seed=h)
+
+    def test_budget_below_one_row_runs_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 1)
+        assert list(tensor._row_blocks(3, 100)) == [(0, 1), (1, 1), (2, 1)]
+        self._check(3, 2, 9, 7, cin=3, cout=2, seed=5)
+
+
+class TestInputGradSkip:
+    def test_graph_input_grads_skipped_gradients_unchanged(self, monkeypatch):
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(0))
+        x = np.random.default_rng(0).uniform(size=(2, 3, 48, 64)).astype(np.float32)
+        score, cache = forward(graph, x, mode="train", rng=EngineRng(1))
+        d_final = np.random.default_rng(1).normal(size=score.shape).astype(np.float32)
+
+        calls = []
+        real_convT = tensor.convT2d_forward
+
+        def counted(x, weights, bias, spec, out_hw=None):
+            calls.append(spec.out_channels)
+            return real_convT(x, weights, bias, spec, out_hw)
+
+        monkeypatch.setattr(tensor, "convT2d_forward", counted)
+        grads = backward(graph, cache, d_final)
+        # every conv layer but L2-L4 (whose adjoint would emit the 3 input
+        # channels) takes its input gradient from convT2d_forward
+        assert len(calls) == 15 and 3 not in calls
+
+        # the formula before the skip: every conv computes its d_x
+        def always(conv_backward):
+            return lambda x, w, spec, d_out, input_grad: conv_backward(x, w, spec, d_out)
+
+        monkeypatch.setattr(graph_module, "conv2d_backward", always(conv2d_backward))
+        monkeypatch.setattr(graph_module, "convT2d_backward", always(convT2d_backward))
+        reference = backward(graph, cache, d_final)
+        assert grads.keys() == reference.keys()
+        for lid, named in reference.items():
+            for name, value in named.items():
+                assert np.array_equal(grads[lid][name], value), (lid, name)
 
 
 class TestActivationGradients:

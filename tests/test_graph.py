@@ -127,6 +127,15 @@ class TestShapeInference:
         with pytest.raises(ShapeError, match="not divisible by 16"):
             infer_shapes(build_mvfcn(), (3, 241, 320))
 
+    @pytest.mark.parametrize("h,w", [(0, 0), (0, 320), (240, 0), (-16, 320)])
+    def test_empty_size_rejected(self, h, w):
+        graph = build_mvfcn()
+        with pytest.raises(ShapeError, match="must be positive"):
+            infer_shapes(graph, (3, h, w))
+        if h >= 0:
+            with pytest.raises(ShapeError, match="must be positive"):
+                forward(graph, np.zeros((1, 3, h, w), dtype=np.float32))
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             infer_shapes(build_mvfcn(), (4, 240, 320))
@@ -253,6 +262,28 @@ class TestDeterministicInit:
         for (l1, n1, p1), (l2, n2, p2) in zip(a.parameter_items(), b.parameter_items()):
             assert (l1, n1) == (l2, n2)
             assert np.array_equal(p1, p2)
+
+    def test_fan_in_draws_in_layer_order(self):
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(5))
+        rng = EngineRng(5)
+        for layer in graph.layers:
+            if layer.kind in ("conv", "convT"):
+                spec = graph.conv_spec(layer)
+                limit = np.sqrt(6.0 / (spec.in_channels * layer.kernel ** 2))
+                want = rng.uniform(-limit, limit, size=spec.weight_shape())
+                want = want.astype(np.float32)
+                assert np.array_equal(graph.params[layer.id]["weight"], want)
+                assert not graph.params[layer.id]["bias"].any()
+
+    def test_allocation_draws_nothing(self):
+        a = build_mvfcn()
+        a.allocate_parameters()
+        b = build_mvfcn()
+        b.initialize_parameters(EngineRng(0))
+        for (_, _, pa), (_, _, pb) in zip(a.parameter_items(), b.parameter_items()):
+            assert pa.shape == pb.shape and pa.dtype == pb.dtype
+        assert not any(p.any() for lid, name, p in a.parameter_items() if name != "gamma")
 
     def test_fingerprint_ignores_values_not_structure(self):
         a = build_mvfcn()

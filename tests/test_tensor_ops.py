@@ -15,7 +15,9 @@ from mvfcn import (
     concat_channels,
     conv2d_forward,
     convT2d_forward,
+    EngineRng,
     dropout,
+    dropout_backward,
     relu,
     resize_nearest,
     sigmoid,
@@ -269,6 +271,24 @@ class TestDropout:
     def test_bad_rate_rejected(self, rng):
         with pytest.raises(ConfigError):
             dropout(np.ones((1, 1, 2, 2)), 1.0, rng, "train")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_float64_scale_formula(self, dtype):
+        r = np.random.default_rng(3)
+        x = r.normal(size=(2, 4, 6, 7)).astype(dtype)
+        x[0, 0, 0, :3] = [-0.0, 0.0, -1.5]
+        d_out = r.normal(size=x.shape).astype(dtype)
+        rate = 0.3
+        y, mask = dropout(x, rate, EngineRng(7), "train")
+        # the formula that built a float64 scale array and cast it
+        expect_mask = EngineRng(7).uniform(size=x.shape) >= rate
+        scale = (expect_mask / (1.0 - rate)).astype(dtype)
+        assert np.array_equal(mask, expect_mask)
+        d_x = dropout_backward(d_out, mask, rate)
+        for got, want in ((y, x * scale), (d_x, d_out * scale)):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestResizeNearest:
