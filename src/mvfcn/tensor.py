@@ -110,17 +110,18 @@ def transpose_output_size(in_size: int, kernel: int, stride: int,
 COLUMN_BUDGET = 4 << 20
 
 
-def _taps(k: int, s: int, oh: int, ow: int):
-    """Walk the k*k kernel taps of a stride-``s`` window over an oh x ow
-    grid, yielding (ki, kj, rows, cols): the slices of the padded big side
-    that tap (ki, kj) pairs with the small side, element for element.
+def _taps(k: int, s: int, oh: int, ow: int, r0: int = 0):
+    """Walk the k*k kernel taps of a stride-``s`` window over rows
+    r0..r0+oh-1 of a small-side grid ow wide, yielding (ki, kj, rows, cols):
+    the slices of the padded big side that tap (ki, kj) pairs with those
+    small-side rows, element for element.
 
     This is the only place that knows the kernel-window arithmetic; every
     convolution pass below is built on it.
     """
     for ki in range(k):
         for kj in range(k):
-            yield (ki, kj, slice(ki, ki + (oh - 1) * s + 1, s),
+            yield (ki, kj, slice(ki + r0 * s, ki + (r0 + oh - 1) * s + 1, s),
                    slice(kj, kj + (ow - 1) * s + 1, s))
 
 
@@ -130,12 +131,6 @@ def _row_blocks(oh: int, row_bytes: int):
     step = max(1, min(oh, COLUMN_BUDGET // row_bytes))
     for r0 in range(0, oh, step):
         yield r0, min(step, oh - r0)
-
-
-def _window(big, k: int, s: int, r0: int, rows: int):
-    """The rows of the padded big side that small-side rows r0..r0+rows-1
-    reach through the kernel; :func:`_taps` over (rows, ow) slices it."""
-    return big[..., r0 * s:(r0 + rows - 1) * s + k, :]
 
 
 def _column_blocks(big, k: int, s: int, oh: int, ow: int):
@@ -154,9 +149,8 @@ def _column_blocks(big, k: int, s: int, oh: int, ow: int):
     for i in range(n):
         for r0, rows in blocks:
             cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
-            window = _window(big[i], k, s, r0, rows)
-            for ki, kj, r, q in _taps(k, s, rows, ow):
-                cols[ki, kj] = window[:, r, q]
+            for ki, kj, r, q in _taps(k, s, rows, ow, r0):
+                cols[ki, kj] = big[i, :, r, q]
             yield i, r0, rows, cols.reshape(k * k * c, -1)
 
 
@@ -265,9 +259,8 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
         for r0, rows in _row_blocks(h, k * k * cout * w * x.itemsize):
             slabs = w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)
             slabs = slabs.reshape(k, k, cout, rows, w)
-            window = _window(buf[i], k, s, r0, rows)
-            for ki, kj, r, q in _taps(k, s, rows, w):
-                window[:, r, q] += slabs[ki, kj]
+            for ki, kj, r, q in _taps(k, s, rows, w, r0):
+                buf[i, :, r, q] += slabs[ki, kj]
     out = np.ascontiguousarray(buf[:, :, pt:pt + out_h, pl:pl + out_w])
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
