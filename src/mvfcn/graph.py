@@ -340,14 +340,13 @@ def _activate(layer, z):
     return z
 
 
-def backward(graph: ModelGraph, cache: ForwardCache, d_final,
-             final_pre_activation: bool = True):
+def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     """Backpropagate a gradient through the whole graph.
 
-    ``d_final`` is taken w.r.t. the final layer's pre-activation when
-    ``final_pre_activation`` is set (the fused-loss convention); otherwise
-    it chains through the final activation as well. Returns a dict
-    layer_id -> {name: gradient} mirroring the parameter shapes.
+    ``d_final`` is taken w.r.t. the final layer's pre-activation (the
+    fused-loss convention), so the final activation is not chained through.
+    Returns a dict layer_id -> {name: gradient} mirroring the parameter
+    shapes.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
@@ -361,8 +360,7 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final,
         if d is None or layer.kind == "input":
             continue
         out = cache.outputs[layer.id]
-        skip_activation = final_pre_activation and layer is last
-        if not skip_activation:
+        if layer is not last:
             if layer.activation == "relu":
                 d = relu_backward(d, out)
             elif layer.activation == "sigmoid":

@@ -147,6 +147,11 @@ def ensure_rgb(tensor):
 # Ground-truth decoding
 # ---------------------------------------------------------------------------
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class GtMapping:
     """Label byte -> class assignment for ground-truth frames.
@@ -159,6 +164,14 @@ class GtMapping:
     background: tuple[int, ...] = (0, 50)
     exclude: tuple[int, ...] = (85, 170)
     strict: bool = True
+
+    def __post_init__(self):
+        fg, bg, ex = map(set, (self.foreground, self.background, self.exclude))
+        bad = sorted(v for v in fg | bg | ex if not 0 <= v <= 255)
+        _require(not bad, f"gt labels must be in [0, 255], got {bad}")
+        shared = sorted(fg & bg | fg & ex | bg & ex)
+        _require(not shared, f"gt label(s) {shared} sit in more than one of "
+                 "foreground/background/exclude")
 
 
 def load_gt(path, mapping: GtMapping = GtMapping()):
@@ -463,11 +476,6 @@ def load_scoremap(path):
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
 
 @dataclass(frozen=True)
 class AugmentConfig:

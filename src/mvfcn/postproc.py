@@ -1,5 +1,6 @@
 """Score-map binarization: global or Otsu thresholding plus small-region
-cleanup via connected-component labeling."""
+cleanup via connected-component labeling, done on horizontal foreground
+runs rather than pixels."""
 
 import numpy as np
 from dataclasses import dataclass
@@ -63,7 +64,10 @@ def otsu_threshold(score) -> OtsuResult:
 
 
 def label_components(mask, connectivity: int = 8):
-    """Two-pass union-find labeling of foreground components.
+    """Label foreground components by horizontal runs: runs on consecutive
+    rows that touch (overlap, or meet diagonally under 8-connectivity) are
+    unioned, then each run labels its pixels. Components are numbered 1, 2,
+    ... in the raster order of their first pixel.
 
     Returns (labels, areas) where labels is 0 for background and areas[k] is
     the pixel count of component k (areas[0] is the background count).
@@ -75,57 +79,36 @@ def label_components(mask, connectivity: int = 8):
         raise ShapeError(f"mask must be 2-d, got shape {mask.shape}")
     h, w = mask.shape
     fg = mask != 0
-    labels = np.zeros((h, w), dtype=np.int64)
-    parent = [0]
+    edges = np.diff(np.pad(fg, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)   # runs in raster order, [start, end)
+    ends = np.nonzero(edges == -1)[1]
+    # raster keys: rows w + 2 apart, so a reach of one column stays in its row
+    key = rows * (w + 2)
+    above = key - (w + 2)
+    reach = int(connectivity == 8)
+    # runs first[b]:stop[b] of the row above touch run b; list each pair
+    first = np.searchsorted(key + ends, above + starts - reach, side="right")
+    stop = np.searchsorted(key + starts, above + ends + reach, side="left")
+    count = stop - first
+    lower = np.repeat(np.arange(len(starts)), count)
+    upper = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    parent = list(range(len(starts)))
 
     def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        return a
 
-    next_label = 1
-    for i in range(h):
-        row = fg[i]
-        for j in range(w):
-            if not row[j]:
-                continue
-            neighbors = []
-            if j > 0 and labels[i, j - 1]:
-                neighbors.append(labels[i, j - 1])
-            if i > 0:
-                if labels[i - 1, j]:
-                    neighbors.append(labels[i - 1, j])
-                if connectivity == 8:
-                    if j > 0 and labels[i - 1, j - 1]:
-                        neighbors.append(labels[i - 1, j - 1])
-                    if j + 1 < w and labels[i - 1, j + 1]:
-                        neighbors.append(labels[i - 1, j + 1])
-            if not neighbors:
-                labels[i, j] = next_label
-                parent.append(next_label)
-                next_label += 1
-            else:
-                roots = [find(k) for k in neighbors]
-                keep = min(roots)
-                labels[i, j] = keep
-                for r in roots:
-                    parent[r] = keep
-
-    if next_label > 1:
-        remap = np.zeros(next_label, dtype=np.int64)
-        compact = 0
-        for lbl in range(1, next_label):
-            root = find(lbl)
-            if remap[root] == 0:
-                compact += 1
-                remap[root] = compact
-            remap[lbl] = remap[root]
-        labels = remap[labels]
-    areas = np.bincount(labels.ravel())
-    return labels, areas
+    for a, b in zip(upper.tolist(), lower.tolist()):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)  # a root is its component's first run
+    root = np.array(parent, dtype=np.int64)
+    while (root[root] != root).any():
+        root = root[root]
+    run_label = np.cumsum(root == np.arange(len(root)))[root]
+    labels = np.zeros((h, w), dtype=np.int64)
+    labels[fg] = np.repeat(run_label, ends - starts)
+    return labels, np.bincount(labels.ravel())
 
 
 def remove_small_regions(mask, min_area: int = 50, connectivity: int = 8):

@@ -379,10 +379,11 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
                 "batch norm running statistics are uninitialized; train at "
                 "least one step or load them from a checkpoint"
             )
+        # gamma * (x - mean) * inv_std + beta as one per-channel scale and shift
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - state.running_mean.reshape(1, -1, 1, 1)) \
-            * inv_std.reshape(1, -1, 1, 1)
-        return gamma * xhat + beta, None
+        scale = state.gamma * inv_std
+        shift = state.beta - state.running_mean * scale
+        return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1), None
     raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
 
 

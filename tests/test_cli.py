@@ -112,6 +112,12 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", cfg,
                        "--out", tmp_path / "x.ckpt") == 2
 
+    def test_bad_gt_mapping_exits_2(self, tmp_path, dataset_tree, config_file):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_file.read_text() + "gt_foreground = 999,255\ngt_exclude = 255\n")
+        assert run_cli("train", "--data", dataset_tree, "--config", cfg,
+                       "--out", tmp_path / "x.ckpt") == 2
+
     def test_missing_dataset_exits_3(self, tmp_path, config_file):
         assert run_cli("train", "--data", tmp_path / "absent", "--config",
                        config_file, "--out", tmp_path / "x.ckpt") == 3

@@ -440,6 +440,26 @@ class TestConfig:
             parse_config(path)
         assert str(from_file.value) == str(direct.value)
 
+    # a label an 8-bit frame cannot hold, or one claimed by two classes
+    @pytest.mark.parametrize("text, kwargs", [
+        ("gt_foreground = 999,255\ngt_exclude = 255\n",
+         {"foreground": (999, 255), "exclude": (255,)}),
+        ("gt_background = -1\n", {"background": (-1,)}),
+        ("gt_foreground = 256\n", {"foreground": (256,)}),
+        ("gt_exclude = 255\n", {"exclude": (255,)}),
+        ("gt_background = 0,50,85\n", {"background": (0, 50, 85)}),
+        ("gt_foreground = 50\n", {"foreground": (50,)}),
+    ], ids=["999_and_255_excluded", "negative", "256", "fg_excluded",
+            "bg_excluded", "fg_is_bg"])
+    def test_gt_mapping_rejected_by_file_and_constructor(self, tmp_path, text, kwargs):
+        with pytest.raises(ConfigError) as direct:
+            GtMapping(**kwargs)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(path)
+        assert str(from_file.value) == str(direct.value)
+
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("lr_decay_factor = 1.5\n")

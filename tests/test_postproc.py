@@ -173,8 +173,60 @@ class TestLabelComponents:
         assert labels.max() == 2
         assert sorted(areas[1:].tolist()) == [1, 4]
 
+    def test_numbered_in_raster_order_of_first_pixel(self):
+        # the right blob's first pixel (row 0) precedes the left one's (row 1)
+        mask = np.array([[0, 0, 1],
+                         [1, 0, 1],
+                         [1, 0, 0]], np.uint8)
+        labels, areas = label_components(mask, 4)
+        assert labels.tolist() == [[0, 0, 1], [2, 0, 1], [2, 0, 0]]
+        assert areas.tolist() == [5, 2, 2]
+
     def test_full_pipeline_outputs_binary(self):
         score = np.random.default_rng(5).uniform(size=(20, 20))
         tau = otsu_threshold(score).tau
         mask = remove_small_regions(threshold_global(score, tau), 3)
         assert set(np.unique(mask)) <= {0, 1}
+
+
+def assert_matches_ndimage(mask, connectivity):
+    """labels (numbering included), their dtype and areas equal
+    scipy.ndimage.label's, which also numbers components in raster order."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    structure = np.ones((3, 3)) if connectivity == 8 else None
+    expected, _ = ndimage.label(mask, structure=structure)
+    labels, areas = label_components(mask, connectivity)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, expected)
+    assert np.array_equal(areas, np.bincount(expected.ravel()))
+
+
+def _checkerboard(h, w):
+    return (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(np.uint8)
+
+
+FIXED_MASKS = {
+    "row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], np.uint8),
+    "column": np.array([[1], [0], [1], [1], [0], [1]], np.uint8),
+    "background": np.zeros((7, 9), np.uint8),
+    "foreground": np.ones((7, 9), np.uint8),
+    "checkerboard": _checkerboard(8, 11),
+    "diagonal": np.eye(9, dtype=np.uint8),
+    "antidiagonal": np.eye(9, dtype=np.uint8)[::-1].copy(),
+}
+
+
+class TestLabelComponentsOracle:
+    """label_components against scipy.ndimage.label (test-only dependency)."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(FIXED_MASKS))
+    def test_fixed_masks(self, name, connectivity):
+        assert_matches_ndimage(FIXED_MASKS[name], connectivity)
+
+    @given(h=st.integers(1, 40), w=st.integers(1, 60), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), connectivity=st.sampled_from([4, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_masks(self, h, w, density, seed, connectivity):
+        mask = np.random.default_rng(seed).uniform(size=(h, w)) < density
+        assert_matches_ndimage(mask.astype(np.uint8), connectivity)

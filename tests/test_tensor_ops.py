@@ -216,6 +216,24 @@ class TestBatchNorm:
         y, _ = batchnorm_forward(x, state, "infer")
         assert np.abs(y.mean()) < 0.2  # running stats track the distribution
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_infer_matches_normalize_then_affine(self, dtype, tol):
+        r = np.random.default_rng(6)
+        state = BatchNormState.create(5, dtype=dtype)
+        state.gamma[:] = r.uniform(0.5, 2.0, 5)
+        state.beta[:] = r.normal(0.0, 1.0, 5)
+        state.running_mean[:] = r.normal(0.0, 2.0, 5)
+        state.running_var[:] = r.uniform(0.5, 4.0, 5)
+        state.initialized = True
+        x = r.normal(1.0, 3.0, size=(2, 5, 6, 7)).astype(dtype)
+        y, cache = batchnorm_forward(x, state, "infer")
+        mean = state.running_mean.reshape(1, -1, 1, 1)
+        inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, -1, 1, 1)
+        expected = (state.gamma.reshape(1, -1, 1, 1) * ((x - mean) * inv_std)
+                    + state.beta.reshape(1, -1, 1, 1))
+        assert cache is None and y.dtype == dtype
+        assert np.abs(y - expected).max() <= tol * np.abs(expected).max()
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             batchnorm_forward(np.zeros((1, 3, 2, 2), np.float32),
