@@ -52,6 +52,23 @@ def cmd_summary(args) -> int:
     return 0
 
 
+def _load_input(path, size, normalize: bool = True):
+    """One frame as a float32 (1, 3, *size) network input in [0, 1] ([0, 255]
+    without ``normalize``)."""
+    image = resize_nearest(ensure_rgb(load_image(path)), *size).astype(np.float32)
+    return image if normalize else image * 255.0
+
+
+def _load_truth(path, size, mapping: GtMapping, roi_global):
+    """A ground-truth frame's (mask, roi) resized to ``size``; the sequence
+    roi, unless None, is resized to the same size and applied."""
+    gt, roi = load_gt(path, mapping)
+    gt, roi = resize_nearest(gt, *size), resize_nearest(roi, *size)
+    if roi_global is not None:
+        roi = roi * resize_nearest(roi_global, *size)
+    return gt, roi
+
+
 def load_samples(manifest, size, mapping: GtMapping, normalize: bool = True):
     """Load every annotated frame, resized to the network input size."""
     roi_global = None
@@ -59,15 +76,8 @@ def load_samples(manifest, size, mapping: GtMapping, normalize: bool = True):
         roi_global = load_image(manifest.roi_path)[0, 0] >= 0.5
     samples = []
     for frame in manifest.frames:
-        image = ensure_rgb(load_image(frame.image_path))[0]
-        if not normalize:
-            image = image * 255.0
-        gt, roi = load_gt(frame.gt_path, mapping)
-        if roi_global is not None:
-            roi = roi * roi_global
-        image = resize_nearest(image, *size).astype(np.float32)
-        gt = resize_nearest(gt, *size)
-        roi = resize_nearest(roi, *size)
+        image = _load_input(frame.image_path, size, normalize)[0]
+        gt, roi = _load_truth(frame.gt_path, size, mapping, roi_global)
         samples.append(Sample(image=image, gt=gt, roi=roi))
     return samples
 
@@ -103,9 +113,7 @@ def cmd_infer(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for item in args.inputs:
-        tensor = ensure_rgb(load_image(item))
-        tensor = resize_nearest(tensor, *NETWORK_INPUT).astype(np.float32)
-        score, _ = forward(graph, tensor, mode=INFER)
+        score, _ = forward(graph, _load_input(item, NETWORK_INPUT), mode=INFER)
         score2d = score[0, 0]
         stem = Path(item).stem
         save_image(score2d, out_dir / f"{stem}.pgm")
@@ -179,15 +187,7 @@ def cmd_eval(args) -> int:
     rois = []
     for (_, ppath), (_, gpath) in zip(preds, gts):
         pred = load_image(ppath)[0, 0] >= 0.5
-        gt, roi = load_gt(gpath)
-        if gt.shape != pred.shape:  # score at network size, gt native
-            gt = resize_nearest(gt, *pred.shape)
-            roi = resize_nearest(roi, *pred.shape)
-        if roi_global is not None:
-            rg = roi_global
-            if rg.shape != pred.shape:
-                rg = resize_nearest(rg, *pred.shape)
-            roi = roi * rg
+        gt, roi = _load_truth(gpath, pred.shape, GtMapping(), roi_global)
         pred_masks.append(pred)
         gt_masks.append(gt)
         rois.append(roi)

@@ -173,8 +173,7 @@ class ModelGraph:
         return checksum64("|".join(rows).encode())
 
 
-def build_mvfcn(in_channels: int = 3, dropout_rate: float = 0.3,
-                bn_momentum: float = 0.99) -> ModelGraph:
+def build_mvfcn(dropout_rate: float = 0.3, bn_momentum: float = 0.99) -> ModelGraph:
     """Construct the canonical 32-layer multi-view network.
 
     Inception head with 3/5/9 kernels at stride 1, subsampling convs at
@@ -216,8 +215,7 @@ def build_mvfcn(in_channels: int = 3, dropout_rate: float = 0.3,
         L(31, "dropout", (30,), rate=dropout_rate),
         L(32, "conv", (31,), 1, 1, 1, "sigmoid"),
     ]
-    return ModelGraph(layers, in_channels=in_channels, input_divisor=16,
-                      bn_momentum=bn_momentum)
+    return ModelGraph(layers, input_divisor=16, bn_momentum=bn_momentum)
 
 
 def _check_input(graph: ModelGraph, c: int, h: int, w: int) -> None:

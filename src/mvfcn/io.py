@@ -21,6 +21,12 @@ gamma, beta, running_mean, running_var; role 7 is the optimizer step count
 and roles 8+r / 12+r carry the optimizer's first/second moments for the
 parameter with role r. The fingerprint hashes the architecture table, so a
 checkpoint only loads into a graph with the identical layer layout.
+
+``load_checkpoint`` checks the magic, version, checksum and entry framing.
+Against a graph (always in ``apply_state``), ``validate_payload`` checks the
+fingerprint, each tensor of the graph's state table present with its shape,
+any optimizer moment shaped like its parameter, the step and rng entry
+sizes, and every float tensor it checks for NaN and inf.
 """
 
 import re
@@ -38,10 +44,6 @@ from .rng import STATE_WORDS
 MAGIC = b"MVFC"
 VERSION = 1
 
-ROLE_WEIGHT = 0
-ROLE_BIAS = 1
-ROLE_GAMMA = 2
-ROLE_BETA = 3
 ROLE_RUNNING_MEAN = 4
 ROLE_RUNNING_VAR = 5
 ROLE_RNG = 6
@@ -49,9 +51,7 @@ ROLE_ADAM_STEP = 7
 ADAM_M_BASE = 8
 ADAM_V_BASE = 12
 
-PARAM_ROLES = {"weight": ROLE_WEIGHT, "bias": ROLE_BIAS,
-               "gamma": ROLE_GAMMA, "beta": ROLE_BETA}
-ROLE_NAMES = {v: k for k, v in PARAM_ROLES.items()}
+PARAM_ROLES = {"weight": 0, "bias": 1, "gamma": 2, "beta": 3}
 
 
 def checksum64(data: bytes) -> int:
@@ -200,16 +200,6 @@ def load_gt(path, mapping: GtMapping = GtMapping()):
 # Dataset discovery
 # ---------------------------------------------------------------------------
 
-_NATURE_BY_DIR = {
-    "baseline": "baseline",
-    "dynamicbackground": "dynamic background",
-    "camerajitter": "camera jitter",
-    "shadow": "shadow",
-    "ptz": "PTZ",
-    "lowframerate": "low framerate",
-}
-
-
 @dataclass(frozen=True)
 class FramePair:
     index: int
@@ -223,7 +213,6 @@ class DatasetManifest:
     name: str
     frames: tuple[FramePair, ...]
     roi_path: Path | None = None
-    nature: str | None = None
 
     @property
     def n(self) -> int:
@@ -285,9 +274,8 @@ def discover_dataset(root, strict: bool = True) -> DatasetManifest:
         if gaps:
             raise DataError(f"{root}: frame numbering has gaps before {gaps}")
     roi = root / "ROI.pgm"
-    nature = _NATURE_BY_DIR.get(re.sub(r"[\s_-]", "", root.parent.name).lower())
     return DatasetManifest(root=root, name=root.name, frames=tuple(frames),
-                           roi_path=roi if roi.is_file() else None, nature=nature)
+                           roi_path=roi if roi.is_file() else None)
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +290,39 @@ class CheckpointPayload:
     fingerprint: int
     entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    def has_optimizer(self) -> bool:
-        return (0, ROLE_ADAM_STEP) in self.entries
+
+def _state_table(graph) -> dict[tuple[int, int], tuple[str, np.ndarray]]:
+    """(layer_id, role) -> (name, live array) for every tensor a checkpoint
+    of ``graph`` must hold: the parameters, then the batch-norm running
+    statistics."""
+    table = {(lid, PARAM_ROLES[name]): (name, arr) for lid, name, arr in graph.parameter_items()}
+    for lid, state in graph.bn_states.items():
+        table[(lid, ROLE_RUNNING_MEAN)] = ("running_mean", state.running_mean)
+        table[(lid, ROLE_RUNNING_VAR)] = ("running_var", state.running_var)
+    return table
+
+
+def _moment_maps(adam):
+    """The optimizer's (role base, moments keyed by (layer_id, name)) pairs."""
+    return ((ADAM_M_BASE, adam.m), (ADAM_V_BASE, adam.v))
+
+
+def _entry_dtype(role: int) -> str:
+    return "<u4" if role == ROLE_RNG else "<f4"
 
 
 def snapshot_state(graph, rng=None, adam=None) -> CheckpointPayload:
     """Deep-copy the graph's parameters, batch-norm statistics, the rng
     position, and (optionally) the optimizer moments."""
-    payload = CheckpointPayload(fingerprint=graph.fingerprint())
-    for lid, name, arr in graph.parameter_items():
-        payload.entries[(lid, PARAM_ROLES[name])] = arr.copy()
-    for lid, state in graph.bn_states.items():
-        payload.entries[(lid, ROLE_RUNNING_MEAN)] = state.running_mean.copy()
-        payload.entries[(lid, ROLE_RUNNING_VAR)] = state.running_var.copy()
+    payload = CheckpointPayload(fingerprint=graph.fingerprint(), entries={
+        key: arr.copy() for key, (_, arr) in _state_table(graph).items()})
     if rng is not None:
         payload.entries[(0, ROLE_RNG)] = rng.state_words()
     if adam is not None:
         payload.entries[(0, ROLE_ADAM_STEP)] = np.array([adam.t], dtype=np.float32)
-        for (lid, name), m in adam.m.items():
-            payload.entries[(lid, ADAM_M_BASE + PARAM_ROLES[name])] = m.copy()
-        for (lid, name), v in adam.v.items():
-            payload.entries[(lid, ADAM_V_BASE + PARAM_ROLES[name])] = v.copy()
+        for base, moments in _moment_maps(adam):
+            for (lid, name), arr in moments.items():
+                payload.entries[(lid, base + PARAM_ROLES[name])] = arr.copy()
     return payload
 
 
@@ -335,10 +335,7 @@ def save_checkpoint(path, payload: CheckpointPayload) -> None:
         dims = arr.shape if arr.ndim else (1,)
         chunks.append(struct.pack("<HBB", lid, role, len(dims)))
         chunks.append(struct.pack(f"<{len(dims)}I", *dims))
-        if role == ROLE_RNG:
-            chunks.append(np.ascontiguousarray(arr, dtype="<u4").tobytes())
-        else:
-            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        chunks.append(np.ascontiguousarray(arr, dtype=_entry_dtype(role)).tobytes())
     body = b"".join(chunks)
     Path(path).write_bytes(body + struct.pack("<Q", checksum64(body)))
 
@@ -346,8 +343,8 @@ def save_checkpoint(path, payload: CheckpointPayload) -> None:
 def load_checkpoint(path, graph=None) -> CheckpointPayload:
     """Parse and validate a checkpoint file.
 
-    When ``graph`` is given, the architecture fingerprint and every tensor
-    shape are checked against it before anything is returned.
+    When ``graph`` is given, the payload is also checked against it by
+    ``validate_payload`` before anything is returned.
     """
     path = Path(path)
     try:
@@ -381,8 +378,8 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
             raise CheckpointError(f"{path}: truncated entry payload")
         raw = data[offset:offset + 4 * size]
         offset += 4 * size
-        dtype = "<u4" if role == ROLE_RNG else "<f4"
-        payload.entries[(lid, role)] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        payload.entries[(lid, role)] = (
+            np.frombuffer(raw, dtype=_entry_dtype(role)).reshape(dims).copy())
     if offset != end:
         raise CheckpointError(f"{path}: {end - offset} stray bytes after entries")
     if graph is not None:
@@ -391,27 +388,32 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
 
 
 def validate_payload(graph, payload: CheckpointPayload, source="checkpoint"):
-    """Refuse anything but an exact architecture and shape match."""
+    """Refuse anything but an exact match to ``graph`` (see the module
+    docstring for the list of checks), naming the layer and tensor at fault."""
     if payload.fingerprint != graph.fingerprint():
         raise CheckpointError(
             f"{source}: architecture fingerprint {payload.fingerprint:#018x} does "
             f"not match the graph ({graph.fingerprint():#018x})"
         )
-    expected = {}
-    for lid, name, arr in graph.parameter_items():
-        expected[(lid, PARAM_ROLES[name])] = (name, arr.shape)
-    for lid, state in graph.bn_states.items():
-        expected[(lid, ROLE_RUNNING_MEAN)] = ("running_mean", state.running_mean.shape)
-        expected[(lid, ROLE_RUNNING_VAR)] = ("running_var", state.running_var.shape)
-    for key, (name, shape) in expected.items():
-        lid, role = key
-        if key not in payload.entries:
-            raise CheckpointError(f"{source}: missing {name} for layer {lid}")
-        got = payload.entries[key].shape
-        if tuple(got) != tuple(shape):
-            raise CheckpointError(
-                f"{source}: layer {lid} {name} shaped {tuple(got)}, graph has {tuple(shape)}"
-            )
+
+    def check(key, name, shape, required=False):
+        got = payload.entries.get(key)
+        if got is None:
+            if required:
+                raise CheckpointError(f"{source}: missing {name} for layer {key[0]}")
+            return
+        where = f"{source}: layer {key[0]} {name}"
+        if got.shape != shape:
+            raise CheckpointError(f"{where} shaped {got.shape}, graph has {shape}")
+        if not np.isfinite(got).all():
+            raise CheckpointError(f"{where} holds a non-finite value")
+
+    for (lid, role), (name, arr) in _state_table(graph).items():
+        check((lid, role), name, arr.shape, required=True)
+        if name in PARAM_ROLES:
+            for base, moment in ((ADAM_M_BASE, "adam m"), (ADAM_V_BASE, "adam v")):
+                check((lid, base + role), f"{name} {moment}", arr.shape)
+    check((0, ROLE_ADAM_STEP), "adam step", (1,))
     rng_entry = payload.entries.get((0, ROLE_RNG))
     if rng_entry is not None and rng_entry.size != STATE_WORDS:
         raise CheckpointError(f"{source}: rng entry must hold {STATE_WORDS} words")
@@ -421,25 +423,21 @@ def apply_state(graph, payload: CheckpointPayload, rng=None, adam=None) -> None:
     """Copy a validated payload into the graph (and optionally restore the
     rng position and optimizer moments)."""
     validate_payload(graph, payload)
-    for lid, name, arr in graph.parameter_items():
-        np.copyto(arr, payload.entries[(lid, PARAM_ROLES[name])])
-    for lid, state in graph.bn_states.items():
-        np.copyto(state.running_mean, payload.entries[(lid, ROLE_RUNNING_MEAN)])
-        np.copyto(state.running_var, payload.entries[(lid, ROLE_RUNNING_VAR)])
-        state.initialized = True
+    table = _state_table(graph)
+    for (lid, role), (_, arr) in table.items():
+        np.copyto(arr, payload.entries[(lid, role)])
+        if role == ROLE_RUNNING_VAR:
+            graph.bn_states[lid].initialized = True
     if rng is not None and (0, ROLE_RNG) in payload.entries:
         rng.set_state_words(payload.entries[(0, ROLE_RNG)])
-    if adam is not None and payload.has_optimizer():
+    if adam is not None and (0, ROLE_ADAM_STEP) in payload.entries:
         adam.t = int(payload.entries[(0, ROLE_ADAM_STEP)][0])
-        adam.m.clear()
-        adam.v.clear()
-        for lid, name, arr in graph.parameter_items():
-            m = payload.entries.get((lid, ADAM_M_BASE + PARAM_ROLES[name]))
-            v = payload.entries.get((lid, ADAM_V_BASE + PARAM_ROLES[name]))
-            if m is not None:
-                adam.m[(lid, name)] = m.copy()
-            if v is not None:
-                adam.v[(lid, name)] = v.copy()
+        for base, moments in _moment_maps(adam):
+            moments.clear()
+            for (lid, role), (name, _) in table.items():
+                moment = payload.entries.get((lid, base + role))
+                if name in PARAM_ROLES and moment is not None:
+                    moments[(lid, name)] = moment.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def evaluate_split(graph, dataset, indices, batch_size):
 
 
 def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
-               graph: ModelGraph | None = None, start_epoch: int = 0) -> TrainResult:
+               start_epoch: int = 0) -> TrainResult:
     """Mini-batch Adam training over the ordered split of one sequence.
 
     ``init`` may be a checkpoint payload: its parameters and batch-norm
@@ -295,8 +295,7 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
         raise ConfigError(f"start_epoch {start_epoch} exceeds max_epochs {cfg.max_epochs}")
 
     rng = EngineRng(cfg.seed)
-    if graph is None:
-        graph = build_mvfcn(dropout_rate=cfg.dropout_rate, bn_momentum=cfg.bn_momentum)
+    graph = build_mvfcn(dropout_rate=cfg.dropout_rate, bn_momentum=cfg.bn_momentum)
     graph.initialize_parameters(rng)
     adam = AdamState(lr=cfg.base_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                      eps=cfg.adam_eps)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mvfcn.cli import main
-from mvfcn.io import load_image
+from mvfcn.cli import load_samples, main
+from mvfcn.io import (GtMapping, discover_dataset, load_checkpoint, load_image,
+                      save_checkpoint, save_image)
 from mvfcn.synth import make_rectangles_dataset, write_dataset_tree
 
 TOTAL_LINE = "Total trainable parameters: 494337"
@@ -106,6 +107,28 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", config_file,
                        "--init", bogus, "--out", tmp_path / "x.ckpt") == 4
 
+    def test_misshaped_adam_moment_init_exits_4(self, tmp_path, dataset_tree, config_file,
+                                                trained_ckpt, capsys):
+        payload = load_checkpoint(trained_ckpt)
+        payload.entries[(0, 7)] = np.array([3.0], np.float32)   # adam step
+        payload.entries[(2, 8)] = np.zeros(3, np.float32)        # layer 2 weight adam m
+        init = tmp_path / "init.ckpt"
+        save_checkpoint(init, payload)
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--init", init, "--out", tmp_path / "x.ckpt") == 4
+        assert "layer 2 weight adam m shaped (3,)" in capsys.readouterr().err
+
+    def test_sequence_roi_resized_to_frames(self, tmp_path, config_file):
+        root = tmp_path / "rects"
+        write_dataset_tree(make_rectangles_dataset(6, (32, 32), seed=4), root)
+        roi = np.ones((16, 16))
+        roi[:, :8] = 0
+        save_image(roi, root / "ROI.pgm")
+        samples = load_samples(discover_dataset(root), (32, 32), GtMapping())
+        assert all(not s.roi[:, :16].any() and s.roi[:, 16:].any() for s in samples)
+        assert run_cli("train", "--data", root, "--config", config_file,
+                       "--out", tmp_path / "x.ckpt") == 0
+
     def test_bad_config_exits_2(self, tmp_path, dataset_tree):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 1\n")
@@ -177,6 +200,16 @@ class TestInfer:
     def test_empty_input_list_exits_2(self, tmp_path, trained_ckpt):
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        "--out", tmp_path / "o") == 2
+
+    def test_non_finite_weight_exits_4(self, tmp_path, trained_ckpt, dataset_tree, capsys):
+        payload = load_checkpoint(trained_ckpt)
+        payload.entries[(30, 0)].flat[5] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, payload)
+        assert run_cli("infer", "--ckpt", bad, "--in", dataset_tree / "input" / "in000001.ppm",
+                       "--out", tmp_path / "o") == 4
+        assert "layer 30 weight holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "in000001.pgm").exists()
 
     def test_corrupt_checkpoint_exits_4(self, tmp_path, dataset_tree):
         bad = tmp_path / "bad.ckpt"

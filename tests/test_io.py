@@ -1,6 +1,7 @@
 """Image codec, ground-truth decoding, dataset discovery, checkpoints,
 and config parsing."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -192,6 +193,27 @@ def _fresh_graph(seed=0):
     return graph
 
 
+def _ramp(shape, offset):
+    """Fixed float32 values from arithmetic alone, no rng draw."""
+    n = int(np.prod(shape))
+    return ((np.arange(n) % 251) / 251.0 + offset).reshape(shape).astype(np.float32)
+
+
+def _optimizer_payload():
+    """A graph and its full snapshot: parameters, batch-norm statistics, rng
+    words, and an Adam step with both moments for every parameter."""
+    graph = _fresh_graph()
+    adam = AdamState(lr=1e-3, t=4)
+    for lid, name, arr in graph.parameter_items():
+        adam.m[(lid, name)] = np.zeros_like(arr)
+        adam.v[(lid, name)] = np.ones_like(arr)
+    return graph, snapshot_state(graph, EngineRng(0), adam)
+
+
+# sha256 of the file test_saved_bytes_pinned writes (5,934,940 bytes)
+PINNED_SHA256 = "66f7c18538adc9c770cae3a14db3b9a2b3bfe945f5fafbe10b05d6bfe88190f5"
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         graph = _fresh_graph()
@@ -287,6 +309,56 @@ class TestCheckpoint:
         apply_state(graph, loaded, adam=fresh)
         assert fresh.t == 11
         assert all(np.array_equal(v, 0.25 * np.ones_like(v)) for v in fresh.m.values())
+
+    def test_fingerprint_pinned(self):
+        # every version-1 file on disk carries this value
+        assert build_mvfcn().fingerprint() == 0x6a18ab48e7e1e7c7
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        """Every role of the version-1 layout, from fixed values: a change to
+        the entry order, dims, dtypes, header or checksum changes the hash."""
+        graph = build_mvfcn()
+        graph.allocate_parameters()
+        adam = AdamState(lr=1e-3, t=3)
+        for i, (lid, name, arr) in enumerate(graph.parameter_items()):
+            arr[...] = _ramp(arr.shape, i)
+            adam.m[(lid, name)] = _ramp(arr.shape, -i)
+            adam.v[(lid, name)] = _ramp(arr.shape, 0.5 * i)
+        state = graph.bn_states[29]
+        state.running_mean[...] = _ramp(state.running_mean.shape, 0.25)
+        state.running_var[...] = _ramp(state.running_var.shape, 2.0)
+        rng = EngineRng(5)
+        rng.uniform(size=3)
+        path = tmp_path / "pinned.ckpt"
+        save_checkpoint(path, snapshot_state(graph, rng, adam))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+
+    @pytest.mark.parametrize("key, name", [
+        ((2, 8), "weight adam m"),
+        ((29, 15), "beta adam v"),
+        ((0, 7), "adam step"),
+    ])
+    def test_misshaped_optimizer_entry_names_layer(self, key, name):
+        graph, payload = _optimizer_payload()
+        payload.entries[key] = np.zeros(3, np.float32)
+        with pytest.raises(CheckpointError, match=rf"layer {key[0]} {name} shaped \(3,\)"):
+            validate_payload(graph, payload)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key, name", [
+        ((30, 0), "weight"),
+        ((29, 5), "running_var"),
+        ((32, 12), "weight adam v"),
+        ((0, 7), "adam step"),
+    ])
+    def test_non_finite_entry_names_layer(self, key, name, value):
+        graph, payload = _optimizer_payload()
+        payload.entries[key].flat[-1] = value
+        match = f"layer {key[0]} {name} holds a non-finite value"
+        with pytest.raises(CheckpointError, match=match):
+            validate_payload(graph, payload)
+        with pytest.raises(CheckpointError, match=match):
+            apply_state(graph, payload, adam=AdamState(lr=1e-3))
 
 
 class TestScoremapSidecar:
