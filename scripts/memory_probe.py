@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Report the memory and wall time of one infer forward and one train
+step of the canonical network on random input.
+
+For each pass it prints the tracemalloc peak (the most memory numpy and
+Python held at once during the pass, above what they held when it
+started) and the wall time. Reporting only: nothing is checked against a
+bound.
+
+    PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 1 --pass infer
+    PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 2 --pass train
+"""
+
+import argparse
+import time
+import tracemalloc
+
+import numpy as np
+
+from mvfcn import AdamState, EngineRng, adam_step, backward, bce_loss, build_mvfcn, forward
+
+
+def _size(text):
+    h, _, w = text.partition("x")
+    return int(h), int(w)
+
+
+def _measure(label, fn):
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    start = time.perf_counter()
+    fn()
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1] - before
+    print(f"{label}: peak {peak / 2**20:.1f} MiB, {seconds:.2f} s")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--size", type=_size, default=(240, 320), help="HxW, default 240x320")
+    parser.add_argument("--batch", type=int, default=1)
+    parser.add_argument("--pass", dest="which", choices=("infer", "train", "both"),
+                        default="both")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+
+    graph = build_mvfcn()
+    graph.initialize_parameters(EngineRng(args.seed))
+    for state in graph.bn_states.values():
+        state.initialized = True  # identity running statistics
+    r = np.random.default_rng(args.seed)
+    x = r.uniform(size=(args.batch, 3, *args.size)).astype(np.float32)
+    y = (r.uniform(size=(args.batch, 1, *args.size)) > 0.5).astype(np.float32)
+    rng = EngineRng(args.seed + 1)
+    adam = AdamState(lr=1e-3)
+
+    def infer():
+        forward(graph, x, mode="infer")
+
+    def train_step():
+        _, cache = forward(graph, x, mode="train", rng=rng)
+        _, d_logits = bce_loss(cache.logits, y)
+        adam_step(graph, backward(graph, cache, d_logits), adam)
+
+    print(f"batch {args.batch}, {args.size[0]}x{args.size[1]}")
+    tracemalloc.start()
+    if args.which in ("infer", "both"):
+        _measure("infer forward", infer)
+    if args.which in ("train", "both"):
+        _measure("train step", train_step)
+    tracemalloc.stop()
+
+
+if __name__ == "__main__":
+    main()

@@ -94,6 +94,9 @@ class ModelGraph:
                         f"layer {layer.id} references {src}, which is not defined earlier"
                     )
             self.by_id[layer.id] = layer
+        # activation id -> the layer that reads it last; an infer-mode
+        # forward releases the activation once that layer has run
+        self.last_reader = {src: layer.id for layer in self.layers for src in layer.inputs}
         self.channels = self._infer_channels()
         self.params: dict[int, dict[str, np.ndarray]] = {}
         self.bn_states: dict[int, BatchNormState] = {}
@@ -275,7 +278,12 @@ def count_params(graph: ModelGraph) -> tuple[int, list[tuple[int, int]]]:
 
 @dataclass
 class ForwardCache:
-    """Per-layer activations and residuals kept for the backward pass."""
+    """Per-layer activations and residuals kept for the backward pass.
+
+    A train-mode forward keeps every layer's output; an infer-mode one
+    keeps only the final layer's, since each activation is released right
+    after the last layer that reads it.
+    """
 
     mode: str
     outputs: dict[int, np.ndarray] = field(default_factory=dict)
@@ -309,11 +317,13 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
         elif layer.kind in CONV_KINDS:
             p = graph.params[layer.id]
             conv = conv2d_forward if layer.kind == "conv" else convT2d_forward
-            z = conv(cache.outputs[layer.inputs[0]], p["weight"], p["bias"],
-                     graph.conv_spec(layer))
-            out = _activate(layer, z)
+            # one name for the conv output: a second would keep it alive
+            # past its release below
+            out = conv(cache.outputs[layer.inputs[0]], p["weight"], p["bias"],
+                       graph.conv_spec(layer))
             if layer is last and layer.activation == "sigmoid":
-                cache.logits = z
+                cache.logits = out
+            out = _activate(layer, out)
         elif layer.kind == "concat":
             out = concat_channels([cache.outputs[i] for i in layer.inputs])
         elif layer.kind == "batchnorm":
@@ -324,6 +334,10 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             out, mask = dropout(cache.outputs[layer.inputs[0]], layer.rate, rng, mode)
             cache.extras[layer.id] = mask
         cache.outputs[layer.id] = out
+        if mode == INFER:
+            for src in set(layer.inputs):
+                if graph.last_reader[src] == layer.id:
+                    del cache.outputs[src]
     score = cache.outputs[last.id]
     if cache.logits is None:
         cache.logits = score
@@ -331,8 +345,9 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
 
 
 def _activate(layer, z):
+    """The layer's activation of a fresh conv output; ReLU in place."""
     if layer.activation == "relu":
-        return relu(z)
+        return relu(z, out=z)
     if layer.activation == "sigmoid":
         return sigmoid(z)
     return z

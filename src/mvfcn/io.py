@@ -127,6 +127,8 @@ def save_image(array, path):
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise DataError(f"cannot encode array of shape {np.asarray(array).shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: cannot encode a non-finite value")
     c, h, w = arr.shape
     body = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     interleaved = body.transpose(1, 2, 0).tobytes()
@@ -468,7 +470,10 @@ def load_scoremap(path):
     need = 12 + 4 * h * w
     if len(data) != need:
         raise DataError(f"{path}: {len(data)} bytes, a {h}x{w} score map takes {need}")
-    return np.frombuffer(data[12:], dtype="<f4").reshape(h, w).copy()
+    score = np.frombuffer(data[12:], dtype="<f4").reshape(h, w).copy()
+    if not np.isfinite(score).all():
+        raise DataError(f"{path}: score map holds a non-finite value")
+    return score
 
 
 # ---------------------------------------------------------------------------

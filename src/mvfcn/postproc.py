@@ -34,7 +34,7 @@ def otsu_threshold(score) -> OtsuResult:
     histogram occupies a single bin has no two classes to separate.
     """
     score = np.asarray(score, dtype=np.float64)
-    if score.min() < 0.0 or score.max() > 1.0:
+    if not (score.min() >= 0.0 and score.max() <= 1.0):  # NaN fails both
         raise DataError("score values must lie in [0, 1]")
     bins = np.minimum((score * HISTOGRAM_BINS).astype(np.int64), HISTOGRAM_BINS - 1)
     hist = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)

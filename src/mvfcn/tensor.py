@@ -41,15 +41,6 @@ def same_floor_padding(size: int, kernel: int, stride: int) -> tuple[int, int, i
     return begin, total - begin, out
 
 
-def _pad_input(x, pt, pb, pl, pr):
-    if pt == pb == pl == pr == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=x.dtype)
-    xp[:, :, pt:pt + h, pl:pl + w] = x
-    return xp
-
-
 @dataclass(frozen=True)
 class ConvSpec:
     """Square odd kernel, same-floor padded convolution."""
@@ -133,36 +124,49 @@ def _row_blocks(oh: int, row_bytes: int):
         yield r0, min(step, oh - r0)
 
 
-def _column_blocks(big, k: int, s: int, oh: int, ow: int):
-    """Im2col of the padded big side (n, c, ...), one image at a time in
-    blocks of small-side rows: yield (i, r0, rows, cols), cols being the
+def _column_blocks(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
+    """Im2col of the big side (n, c, h, w), one image at a time in blocks
+    of small-side rows: yield (i, r0, rows, cols), cols being the
     (k*k*c, rows*ow) matrix of image i whose row (ki, kj, ci) holds channel
-    ci of tap (ki, kj)'s window. ``cols`` is a view of one buffer reused
-    by every block."""
-    n, c = big.shape[:2]
+    ci of tap (ki, kj)'s window. The big side is zero-padded by ``pt`` rows
+    on top and ``pl`` columns on the left, and as far as the windows reach
+    at the bottom and right; only each block's window is padded, in one
+    buffer reused by every block, and ``cols`` is a view of another."""
+    n, c, h, w = big.shape
     if k == s == 1:  # a 1x1 kernel's columns are the image itself
         for i in range(n):
             yield i, 0, oh, big[i].reshape(c, -1)
         return
     blocks = list(_row_blocks(oh, k * k * c * ow * big.itemsize))
+    win_w = (ow - 1) * s + k
+    cw = min(w, win_w - pl)  # map columns some window reaches
+    # the pad columns stay zero: only map columns are ever written
+    win = np.zeros((c, (blocks[0][1] - 1) * s + k, win_w), dtype=big.dtype)
     buf = np.empty(k * k * c * blocks[0][1] * ow, dtype=big.dtype)
     for i in range(n):
         for r0, rows in blocks:
+            win_h = (rows - 1) * s + k
+            top = r0 * s - pt  # map row of the window's first row
+            lo, hi = max(top, 0), min(top + win_h, h)
+            win[:, :lo - top] = 0
+            win[:, lo - top:hi - top, pl:pl + cw] = big[i, :, lo:hi, :cw]
+            win[:, hi - top:win_h] = 0
             cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
-            for ki, kj, r, q in _taps(k, s, rows, ow, r0):
-                cols[ki, kj] = big[i, :, r, q]
+            for ki, kj, r, q in _taps(k, s, rows, ow):
+                cols[ki, kj] = win[:, r, q]
             yield i, r0, rows, cols.reshape(k * k * c, -1)
 
 
-def _weight_grad(small, padded, weights, s: int):
+def _weight_grad(small, big, weights, s: int, pt: int, pl: int):
     """Kernel gradient shared by both convolutions: each tap correlates the
-    small side (n, a, oh, ow) with its window of the padded big side
-    (n, b, ...), giving an (a, b) slice of a weights-shaped array. One GEMM
-    per row block against the big side's column matrix."""
+    small side (n, a, oh, ow) with its window of the big side (n, b, ...),
+    zero-padded by (pt, pl) at the top left, giving an (a, b) slice of a
+    weights-shaped array. One GEMM per row block against the big side's
+    column matrix."""
     n, a, oh, ow = small.shape
     k = weights.shape[-1]
     acc = sum(small[i, :, r0:r0 + rows].reshape(a, -1) @ cols.T
-              for i, r0, rows, cols in _column_blocks(padded, k, s, oh, ow))
+              for i, r0, rows, cols in _column_blocks(big, k, s, oh, ow, pt, pl))
     d_w = np.empty_like(weights)
     d_w[...] = acc.reshape(a, k, k, -1).transpose(0, 3, 1, 2)
     return d_w
@@ -191,14 +195,14 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
-    pt, pb, oh = same_floor_padding(h, k, s)
-    pl, pr, ow = same_floor_padding(w, k, s)
+    pt, _, oh = same_floor_padding(h, k, s)
+    pl, _, ow = same_floor_padding(w, k, s)
     if oh < 1 or ow < 1:
         raise ShapeError(f"empty output {oh}x{ow} after striding")
     cout = spec.out_channels
     w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
     out = np.empty((n, cout, oh, ow), dtype=x.dtype)
-    for i, r0, rows, cols in _column_blocks(_pad_input(x, pt, pb, pl, pr), k, s, oh, ow):
+    for i, r0, rows, cols in _column_blocks(x, k, s, oh, ow, pt, pl):
         # each channel's block rows are contiguous, so the reshape is a view
         np.matmul(w_mat, cols, out=out[i, :, r0:r0 + rows].reshape(cout, -1))
     if bias is not None:
@@ -216,8 +220,8 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
-    pt, pb, oh = same_floor_padding(h, k, s)
-    pl, pr, ow = same_floor_padding(w, k, s)
+    pt, _, oh = same_floor_padding(h, k, s)
+    pl, _, ow = same_floor_padding(w, k, s)
     d_out = np.asarray(d_out)
     if d_out.shape != (n, spec.out_channels, oh, ow):
         raise ShapeError(
@@ -228,7 +232,7 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     if input_grad:
         adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
         d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
-    d_w = _weight_grad(d_out, _pad_input(x, pt, pb, pl, pr), weights, s)
+    d_w = _weight_grad(d_out, x, weights, s, pt, pl)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
@@ -284,8 +288,8 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
             f"(n={n}, cout={spec.out_channels}, ...)"
         )
     out_h, out_w = d_out.shape[2:]
-    pt, pb, ih = same_floor_padding(out_h, k, s)
-    pl, pr, iw = same_floor_padding(out_w, k, s)
+    pt, _, ih = same_floor_padding(out_h, k, s)
+    pl, _, iw = same_floor_padding(out_w, k, s)
     if (ih, iw) != (h, w):
         raise ShapeError(
             f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
@@ -294,12 +298,13 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
     if input_grad:
         adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
         d_x = conv2d_forward(d_out, weights, None, adjoint)
-    d_w = _weight_grad(x, _pad_input(d_out, pt, pb, pl, pr), weights, s)
+    d_w = _weight_grad(x, d_out, weights, s, pt, pl)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
-def relu(x):
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    """max(x, 0); ``out=x`` applies it in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(d_out, x):
@@ -383,7 +388,9 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         scale = state.gamma * inv_std
         shift = state.beta - state.running_mean * scale
-        return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1), None
+        y = x * scale.reshape(1, -1, 1, 1)
+        y += shift.reshape(1, -1, 1, 1)
+        return y, None
     raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
 
 

@@ -250,6 +250,17 @@ class TestConvOracle:
             [(0, 2), (2, 2), (4, 2), (6, 1)]
         self._check(k, s, h, w, cin=c, cout=c, seed=h)
 
+    def test_block_window_crossing_top_and_bottom_padding(self, monkeypatch):
+        # a 9x9 kernel over a 5-row map pads 4 rows on each side: with
+        # two-row blocks, the first block's 10-row window reads map rows
+        # -4..5, both pads at once
+        k, s, h, w, c = 9, 1, 5, 6, 2
+        row_bytes = k * k * c * w * 8
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 2 * row_bytes)
+        assert tensor.same_floor_padding(h, k, s) == (4, 4, 5)
+        assert list(tensor._row_blocks(h, row_bytes)) == [(0, 2), (2, 2), (4, 1)]
+        self._check(k, s, h, w, cin=c, cout=c, seed=9)
+
     def test_budget_below_one_row_runs_one_row_blocks(self, monkeypatch):
         monkeypatch.setattr(tensor, "COLUMN_BUDGET", 1)
         assert list(tensor._row_blocks(3, 100)) == [(0, 1), (1, 1), (2, 1)]

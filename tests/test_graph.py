@@ -1,6 +1,8 @@
 """Structure, shape inference, parameter accounting, and execution
 semantics of the canonical 32-layer network."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,49 @@ class TestForward:
         score, cache = forward(graph, x, mode="train", rng=EngineRng(13))
         assert score.shape == (2, 1, 8, 8)
         assert cache.outputs[5].shape == (2, 6, 8, 8)
+
+
+class TestActivationLiveness:
+    @staticmethod
+    def _warm_graph():
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(14))
+        x = np.random.default_rng(15).uniform(size=(1, 3, 32, 32)).astype(np.float32)
+        forward(graph, x, mode="train", rng=EngineRng(16))  # warm BN stats
+        return graph
+
+    def test_last_reader_table(self):
+        # layer 2 feeds 3 and 5, so 5 releases it
+        assert fanout_graph().last_reader == {1: 2, 2: 5, 3: 4, 4: 5, 5: 6, 6: 7}
+
+    def test_infer_cache_holds_final_output_and_logits(self):
+        graph = self._warm_graph()
+        x = np.random.default_rng(17).uniform(size=(1, 3, 32, 32)).astype(np.float32)
+        score, cache = forward(graph, x, mode="infer")
+        assert list(cache.outputs) == [32]
+        assert cache.outputs[32] is score
+        assert cache.logits.shape == score.shape and cache.logits is not score
+        assert not any(e is not None for e in cache.extras.values())
+
+    def test_train_cache_holds_every_layer(self):
+        graph = self._warm_graph()
+        x = np.random.default_rng(18).uniform(size=(2, 3, 32, 32)).astype(np.float32)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(19))
+        assert sorted(cache.outputs) == [layer.id for layer in graph.layers]
+
+    def test_infer_peak_memory_at_paper_size(self):
+        # all 32 activations of one 240x320 frame take about 159 MB; the
+        # live set at its widest is a fraction of that
+        graph = self._warm_graph()
+        x = np.random.default_rng(20).uniform(size=(1, 3, 240, 320)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward(graph, x, mode="infer")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestSummary:

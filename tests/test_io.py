@@ -90,6 +90,14 @@ class TestImageCodec:
         with pytest.raises(DataError):
             load_image(tmp_path / "absent.pgm")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        image = np.full((4, 5), 0.5)
+        image[2, 3] = value
+        with pytest.raises(DataError, match="m.pgm: cannot encode a non-finite value"):
+            save_image(image, tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
 
 class TestGroundTruth:
     def _write(self, tmp_path, values):
@@ -384,6 +392,14 @@ class TestScoremapSidecar:
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_scoremap(tmp_path / "absent.f32")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_file(self, tmp_path, value):
+        score = np.full((4, 4), 0.5, np.float32)
+        score[1, 2] = value
+        save_scoremap(score, tmp_path / "s.f32")
+        with pytest.raises(DataError, match="s.f32: score map holds a non-finite value"):
+            load_scoremap(tmp_path / "s.f32")
 
 
 # every accepted config key: (key, file value, owner field path, parsed value);

@@ -56,6 +56,13 @@ class TestOtsu:
         with pytest.raises(DataError, match="degenerate histogram"):
             otsu_threshold(np.full((6, 6), 0.4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1, 1.1])
+    def test_value_outside_unit_interval_rejected(self, value):
+        score = np.linspace(0, 1, 16).reshape(4, 4)
+        score[2, 1] = value
+        with pytest.raises(DataError, match=r"must lie in \[0, 1\]"):
+            otsu_threshold(score)
+
     def test_near_constant_single_bin_rejected(self):
         with pytest.raises(DataError):
             otsu_threshold(np.full((4, 4), 0.5001) + np.linspace(0, 1e-4, 16).reshape(4, 4))
