@@ -4,14 +4,18 @@ step of the canonical network on random input.
 
 For each pass it prints the tracemalloc peak (the most memory numpy and
 Python held at once during the pass, above what they held when it
-started) and the wall time. Reporting only: nothing is checked against a
-bound.
+started) and the wall time. At exit it prints the process's peak resident
+set size (ru_maxrss in MB of 1024 KiB, as bench/run.py reads peak_rss_mb),
+which also counts the interpreter, BLAS buffers, tracemalloc's own records
+and memory the allocator has not returned. Reporting only: nothing is
+checked against a bound.
 
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 1 --pass infer
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 2 --pass train
 """
 
 import argparse
+import resource
 import time
 import tracemalloc
 
@@ -70,6 +74,7 @@ def main():
     if args.which in ("train", "both"):
         _measure("train step", train_step)
     tracemalloc.stop()
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -106,16 +106,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    stems = [Path(item).stem for item in args.inputs]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:  # each input's outputs are named by its stem alone
+        raise DataError(f"two inputs share the stem {shared[0]!r}; their outputs would collide")
     graph = build_mvfcn()
     graph.allocate_parameters()
     payload = load_checkpoint(args.ckpt, graph)
     apply_state(graph, payload)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for item in args.inputs:
+    for item, stem in zip(args.inputs, stems):
         score, _ = forward(graph, _load_input(item, NETWORK_INPUT), mode=INFER)
         score2d = score[0, 0]
-        stem = Path(item).stem
         save_image(score2d, out_dir / f"{stem}.pgm")
         if args.save_scores:
             save_scoremap(score2d, out_dir / f"{stem}.f32")

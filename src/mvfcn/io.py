@@ -127,9 +127,11 @@ def save_image(array, path):
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise DataError(f"cannot encode array of shape {np.asarray(array).shape}")
+    c, h, w = arr.shape
+    if arr.size == 0:
+        raise DataError(f"{path}: cannot encode an empty image {w}x{h}")
     if not np.isfinite(arr).all():
         raise DataError(f"{path}: cannot encode a non-finite value")
-    c, h, w = arr.shape
     body = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     interleaved = body.transpose(1, 2, 0).tobytes()
     magic = b"P5" if c == 1 else b"P6"
@@ -454,6 +456,8 @@ def save_scoremap(score, path) -> None:
     if score.ndim != 2:
         raise DataError(f"score map must be 2-d, got {score.shape}")
     h, w = score.shape
+    if score.size == 0:
+        raise DataError(f"{path}: cannot write an empty score map {h}x{w}")
     Path(path).write_bytes(SCORE_MAGIC + struct.pack("<II", h, w)
                            + np.ascontiguousarray(score, dtype="<f4").tobytes())
 
@@ -467,6 +471,8 @@ def load_scoremap(path):
     if data[:4] != SCORE_MAGIC or len(data) < 12:
         raise DataError(f"{path}: not a score-map sidecar")
     h, w = struct.unpack_from("<II", data, 4)
+    if h == 0 or w == 0:
+        raise DataError(f"{path}: empty score map {h}x{w}")
     need = 12 + 4 * h * w
     if len(data) != need:
         raise DataError(f"{path}: {len(data)} bytes, a {h}x{w} score map takes {need}")

@@ -101,18 +101,17 @@ def transpose_output_size(in_size: int, kernel: int, stride: int,
 COLUMN_BUDGET = 4 << 20
 
 
-def _taps(k: int, s: int, oh: int, ow: int, r0: int = 0):
-    """Walk the k*k kernel taps of a stride-``s`` window over rows
-    r0..r0+oh-1 of a small-side grid ow wide, yielding (ki, kj, rows, cols):
-    the slices of the padded big side that tap (ki, kj) pairs with those
-    small-side rows, element for element.
+def _taps(k: int, s: int, oh: int, ow: int):
+    """Walk the k*k kernel taps of a stride-``s`` window over an oh x ow
+    small-side grid, yielding (ki, kj, rows, cols): the slices of a padded
+    big-side window that tap (ki, kj) pairs with the grid, element for element.
 
     This is the only place that knows the kernel-window arithmetic; every
     convolution pass below is built on it.
     """
     for ki in range(k):
         for kj in range(k):
-            yield (ki, kj, slice(ki + r0 * s, ki + (r0 + oh - 1) * s + 1, s),
+            yield (ki, kj, slice(ki, ki + (oh - 1) * s + 1, s),
                    slice(kj, kj + (ow - 1) * s + 1, s))
 
 
@@ -124,37 +123,45 @@ def _row_blocks(oh: int, row_bytes: int):
         yield r0, min(step, oh - r0)
 
 
-def _column_blocks(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
-    """Im2col of the big side (n, c, h, w), one image at a time in blocks
-    of small-side rows: yield (i, r0, rows, cols), cols being the
-    (k*k*c, rows*ow) matrix of image i whose row (ki, kj, ci) holds channel
-    ci of tap (ki, kj)'s window. The big side is zero-padded by ``pt`` rows
-    on top and ``pl`` columns on the left, and as far as the windows reach
-    at the bottom and right; only each block's window is padded, in one
-    buffer reused by every block, and ``cols`` is a view of another."""
+def _windows(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
+    """Walk the big side (n, c, h, w) by image and block of small-side rows
+    (k*k*c*ow elements a row under COLUMN_BUDGET), yielding (i, r0, rows, win,
+    part, win_part): ``win`` is the block's window zero-padded by ``pt`` rows
+    on top, ``pl`` columns on the left and as far as the taps reach, ``part``
+    the map region it covers (a view of ``big``) and ``win_part`` its place in
+    ``win``. All windows share one buffer; ``part[...] = win_part`` stores one."""
     n, c, h, w = big.shape
-    if k == s == 1:  # a 1x1 kernel's columns are the image itself
-        for i in range(n):
-            yield i, 0, oh, big[i].reshape(c, -1)
-        return
     blocks = list(_row_blocks(oh, k * k * c * ow * big.itemsize))
     win_w = (ow - 1) * s + k
     cw = min(w, win_w - pl)  # map columns some window reaches
-    # the pad columns stay zero: only map columns are ever written
-    win = np.zeros((c, (blocks[0][1] - 1) * s + k, win_w), dtype=big.dtype)
-    buf = np.empty(k * k * c * blocks[0][1] * ow, dtype=big.dtype)
+    buf = np.zeros((c, (blocks[0][1] - 1) * s + k, win_w), dtype=big.dtype)
     for i in range(n):
         for r0, rows in blocks:
             win_h = (rows - 1) * s + k
             top = r0 * s - pt  # map row of the window's first row
             lo, hi = max(top, 0), min(top + win_h, h)
-            win[:, :lo - top] = 0
-            win[:, lo - top:hi - top, pl:pl + cw] = big[i, :, lo:hi, :cw]
-            win[:, hi - top:win_h] = 0
-            cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
-            for ki, kj, r, q in _taps(k, s, rows, ow):
-                cols[ki, kj] = win[:, r, q]
-            yield i, r0, rows, cols.reshape(k * k * c, -1)
+            part = big[i, :, lo:hi, :cw]
+            win_part = buf[:, lo - top:hi - top, pl:pl + cw]
+            buf[:, :lo - top] = buf[:, hi - top:win_h] = 0  # pad rows
+            win_part[...] = part  # pad columns stay zero unless a caller adds
+            yield i, r0, rows, buf[:, :win_h], part, win_part
+
+
+def _column_blocks(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
+    """Im2col through :func:`_windows`: yield (i, r0, rows, cols), cols being
+    image i's (k*k*c, rows*ow) matrix whose row (ki, kj, ci) is channel ci of tap (ki, kj)."""
+    n, c = big.shape[:2]
+    if k == s == 1:  # a 1x1 kernel's columns are the image itself
+        for i in range(n):
+            yield i, 0, oh, big[i].reshape(c, -1)
+        return
+    for i, r0, rows, win, _, _ in _windows(big, k, s, oh, ow, pt, pl):
+        if i == r0 == 0:  # the first block is the tallest: size the buffer
+            buf = np.empty(k * k * c * rows * ow, dtype=big.dtype)
+        cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
+        for ki, kj, r, q in _taps(k, s, rows, ow):
+            cols[ki, kj] = win[:, r, q]
+        yield i, r0, rows, cols.reshape(k * k * c, -1)
 
 
 def _weight_grad(small, big, weights, s: int, pt: int, pl: int):
@@ -242,30 +249,28 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     Equivalent to dilating the input with stride-1 interleaved zeros plus the
     edge zeros counted by :func:`transpose_alpha`, then convolving at unit
     stride; implemented directly as the adjoint of :func:`conv2d_forward`:
-    per block of input rows one GEMM gives every tap's slab, which is
-    scatter-added through the same windows the convolution gathers from.
-    Default output size is (stride*h, stride*w).
+    per block of input rows one GEMM gives every tap's slab, scatter-added
+    into the block's window of the output, which is loaded with the earlier
+    blocks' partial sums and stored back. Default size (stride*h, stride*w).
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
     out_h, out_w = out_hw if out_hw is not None else spec.output_hw(h, w)
-    pt, pb, ih = same_floor_padding(out_h, k, s)
-    pl, pr, iw = same_floor_padding(out_w, k, s)
+    pt, _, ih = same_floor_padding(out_h, k, s)
+    pl, _, iw = same_floor_padding(out_w, k, s)
     if (ih, iw) != (h, w):
         raise ShapeError(
             f"target {out_h}x{out_w} is not a stride-{s} preimage of input {h}x{w}"
         )
     cout = spec.out_channels
     w_mat = weights.transpose(2, 3, 1, 0).reshape(-1, c)
-    buf = np.zeros((n, cout, out_h + pt + pb, out_w + pl + pr), dtype=x.dtype)
-    for i in range(n):
-        for r0, rows in _row_blocks(h, k * k * cout * w * x.itemsize):
-            slabs = w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)
-            slabs = slabs.reshape(k, k, cout, rows, w)
-            for ki, kj, r, q in _taps(k, s, rows, w, r0):
-                buf[i, :, r, q] += slabs[ki, kj]
-    out = np.ascontiguousarray(buf[:, :, pt:pt + out_h, pl:pl + out_w])
+    out = np.zeros((n, cout, out_h, out_w), dtype=x.dtype)
+    for i, r0, rows, win, part, win_part in _windows(out, k, s, h, w, pt, pl):
+        slabs = (w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)).reshape(k, k, cout, rows, w)
+        for ki, kj, r, q in _taps(k, s, rows, w):
+            win[:, r, q] += slabs[ki, kj]
+        part[...] = win_part
     if bias is not None:
         out += np.asarray(bias, dtype=out.dtype)[:, None, None]
     return out

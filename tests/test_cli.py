@@ -197,6 +197,19 @@ class TestInfer:
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        tmp_path / "nope.ppm", "--out", tmp_path / "o") == 3
 
+    def test_inputs_sharing_a_stem_exit_3_before_writing(self, tmp_path, trained_ckpt,
+                                                         dataset_tree, capsys):
+        frame = dataset_tree / "input" / "in000001.ppm"
+        other = tmp_path / "elsewhere" / "in000001.ppm"
+        other.parent.mkdir()
+        other.write_bytes(frame.read_bytes())
+        out_dir = tmp_path / "o"
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", frame, other,
+                       "--out", out_dir, "--save-scores") == 3
+        captured = capsys.readouterr()
+        assert "'in000001'" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     def test_empty_input_list_exits_2(self, tmp_path, trained_ckpt):
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        "--out", tmp_path / "o") == 2
@@ -285,6 +298,15 @@ class TestBinarize:
         assert run_cli("binarize", "--scores", score_dir, "--method", method,
                        "--out", tmp_path / "m") == 3
         assert "in000002.f32: score map holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["otsu", "global:0.5"])
+    def test_empty_sidecar_exits_3(self, tmp_path, score_dir, capsys, method):
+        (score_dir / "in000002.f32").write_bytes(b"MVSC" + np.array([0, 5], "<u4").tobytes())
+        out = tmp_path / "m"
+        assert run_cli("binarize", "--scores", score_dir, "--method", method,
+                       "--out", out) == 3
+        assert "in000002.f32: empty score map 0x5" in capsys.readouterr().err
+        assert not (out / "in000002.pgm").exists()
 
     def test_bad_method_exits_2(self, tmp_path, score_dir):
         assert run_cli("binarize", "--scores", score_dir, "--method", "magic",

@@ -5,6 +5,8 @@ scalar, compares the analytic gradient against 64-bit central differences,
 and demands relative error below 1e-3.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,66 @@ class TestConvOracle:
         monkeypatch.setattr(tensor, "COLUMN_BUDGET", 1)
         assert list(tensor._row_blocks(3, 100)) == [(0, 1), (1, 1), (2, 1)]
         self._check(3, 2, 9, 7, cin=3, cout=2, seed=5)
+
+
+class TestTransposeConvWindows:
+    """The transposed conv scatter-adds each row block into that block's
+    window of its output, loaded with the earlier blocks' partial sums, and
+    stores the window's map part back. Windows overlap by k - s rows; on
+    those rows the float sums must keep the order of one whole padded
+    buffer, bit for bit."""
+
+    @staticmethod
+    def _whole_buffer_scatter(x, weight, k, s, out_h, out_w):
+        """Scatter every block's tap slabs into one zero-padded buffer the
+        size of the whole output, in block then tap order, and crop it."""
+        n, c, h, w = x.shape
+        cout = weight.shape[1]
+        pt, pb, _ = tensor.same_floor_padding(out_h, k, s)
+        pl, pr, _ = tensor.same_floor_padding(out_w, k, s)
+        w_mat = weight.transpose(2, 3, 1, 0).reshape(-1, c)
+        buf = np.zeros((n, cout, out_h + pt + pb, out_w + pl + pr), x.dtype)
+        for i in range(n):
+            for r0, rows in tensor._row_blocks(h, k * k * cout * w * x.itemsize):
+                slabs = w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)
+                slabs = slabs.reshape(k, k, cout, rows, w)
+                for ki in range(k):
+                    for kj in range(k):
+                        buf[i, :, ki + r0 * s:ki + (r0 + rows - 1) * s + 1:s,
+                            kj:kj + (w - 1) * s + 1:s] += slabs[ki, kj]
+        return buf[:, :, pt:pt + out_h, pl:pl + out_w]
+
+    @pytest.mark.parametrize("k,s", [(3, 1), (3, 2), (9, 1)])
+    def test_overlapping_windows_keep_the_summation_order(self, monkeypatch, k, s):
+        cin, cout, out_h, out_w = 5, 4, 17, 13
+        h, w = -(-out_h // s), -(-out_w // s)
+        r = np.random.default_rng(k * 10 + s)
+        x = r.normal(size=(2, cin, h, w)).astype(np.float32)
+        weight = r.normal(size=(cin, cout, k, k)).astype(np.float32)
+        row_bytes = k * k * cout * w * x.itemsize
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 2 * row_bytes)
+        assert len(list(tensor._row_blocks(h, row_bytes))) > 3
+        got = convT2d_forward(x, weight, None, TransposeConvSpec(k, s, cin, cout),
+                              out_hw=(out_h, out_w))
+        assert np.array_equal(got, self._whole_buffer_scatter(x, weight, k, s, out_h, out_w))
+
+    def test_paper_size_l27_allocates_no_padded_output(self):
+        # L27 at 240x320, batch 1: the 18.75 MiB output plus buffers bounded
+        # by the 4 MiB column budget; a padded copy of the output and its
+        # crop would take two output-sized arrays at once
+        spec = TransposeConvSpec(3, 2, 32, 64)
+        r = np.random.default_rng(27)
+        x = r.normal(size=(1, 32, 120, 160)).astype(np.float32)
+        weight = r.normal(size=spec.weight_shape()).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = convT2d_forward(x, weight, None, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 75 * 2**18
+        assert peak < 32 * 2**20
 
 
 class TestInputGradSkip:

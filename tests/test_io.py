@@ -98,6 +98,12 @@ class TestImageCodec:
             save_image(image, tmp_path / "m.pgm")
         assert not (tmp_path / "m.pgm").exists()
 
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 0, 5), (1, 1, 4, 0)])
+    def test_empty_array_rejected(self, tmp_path, shape):
+        with pytest.raises(DataError, match="m.pgm: cannot encode an empty image"):
+            save_image(np.zeros(shape), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
 
 class TestGroundTruth:
     def _write(self, tmp_path, values):
@@ -400,6 +406,16 @@ class TestScoremapSidecar:
         save_scoremap(score, tmp_path / "s.f32")
         with pytest.raises(DataError, match="s.f32: score map holds a non-finite value"):
             load_scoremap(tmp_path / "s.f32")
+
+    @pytest.mark.parametrize("h,w", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_score_map_names_file(self, tmp_path, h, w):
+        path = tmp_path / "s.f32"
+        path.write_bytes(b"MVSC" + np.array([h, w], "<u4").tobytes())
+        with pytest.raises(DataError, match=f"s.f32: empty score map {h}x{w}"):
+            load_scoremap(path)
+        with pytest.raises(DataError, match=f"t.f32: cannot write an empty score map {h}x{w}"):
+            save_scoremap(np.zeros((h, w), np.float32), tmp_path / "t.f32")
+        assert not (tmp_path / "t.f32").exists()
 
 
 # every accepted config key: (key, file value, owner field path, parsed value);
