@@ -232,32 +232,26 @@ def _check_input(graph: ModelGraph, c: int, h: int, w: int) -> None:
 
 
 def infer_shapes(graph: ModelGraph, input_shape) -> dict[int, tuple[int, int, int]]:
-    """Static per-layer output shapes (c, h, w) for a symbolic batch.
+    """Static per-layer output shapes (c, h, w) for a symbolic batch, the
+    channels read from ``graph.channels``.
 
     Fails fast on channel mismatches, concat spatial disagreements, or an
     empty input or one the upsampling stages cannot reproduce exactly.
     """
     c, h, w = input_shape
     _check_input(graph, c, h, w)
-    shapes: dict[int, tuple[int, int, int]] = {}
+    sizes: dict[int, tuple[int, int]] = {}
     for layer in graph.layers:
         if layer.kind == "input":
-            shapes[layer.id] = (c, h, w)
+            sizes[layer.id] = (h, w)
         elif layer.kind in CONV_KINDS:
-            _, ih, iw = shapes[layer.inputs[0]]
-            shapes[layer.id] = (layer.out_channels,
-                                *graph.conv_spec(layer).output_hw(ih, iw))
-        elif layer.kind == "concat":
-            parts = [shapes[i] for i in layer.inputs]
-            hw = {p[1:] for p in parts}
-            if len(hw) != 1:
-                raise ShapeError(
-                    f"layer {layer.id}: concat inputs disagree spatially: {parts}"
-                )
-            shapes[layer.id] = (sum(p[0] for p in parts),) + parts[0][1:]
+            sizes[layer.id] = graph.conv_spec(layer).output_hw(*sizes[layer.inputs[0]])
+        elif layer.kind == "concat" and len({sizes[i] for i in layer.inputs}) != 1:
+            parts = [(graph.channels[i], *sizes[i]) for i in layer.inputs]
+            raise ShapeError(f"layer {layer.id}: concat inputs disagree spatially: {parts}")
         else:
-            shapes[layer.id] = shapes[layer.inputs[0]]
-    return shapes
+            sizes[layer.id] = sizes[layer.inputs[0]]
+    return {lid: (graph.channels[lid], *hw) for lid, hw in sizes.items()}
 
 
 def count_params(graph: ModelGraph) -> tuple[int, list[tuple[int, int]]]:

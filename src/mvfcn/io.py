@@ -29,6 +29,7 @@ any optimizer moment shaped like its parameter, the step and rng entry
 sizes, and every float tensor it checks for NaN and inf.
 """
 
+import math
 import re
 import struct
 import zlib
@@ -377,7 +378,7 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
             raise CheckpointError(f"{path}: truncated entry dims")
         dims = struct.unpack_from(f"<{rank}I", data, offset)
         offset += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)
         if offset + 4 * size > end:
             raise CheckpointError(f"{path}: truncated entry payload")
         raw = data[offset:offset + 4 * size]
@@ -458,6 +459,8 @@ def save_scoremap(score, path) -> None:
     h, w = score.shape
     if score.size == 0:
         raise DataError(f"{path}: cannot write an empty score map {h}x{w}")
+    if not np.isfinite(score).all():
+        raise DataError(f"{path}: cannot write a non-finite score")
     Path(path).write_bytes(SCORE_MAGIC + struct.pack("<II", h, w)
                            + np.ascontiguousarray(score, dtype="<f4").tobytes())
 
@@ -521,7 +524,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _require(self.seed >= 0, "seed must be non-negative")
-        _require(self.base_lr > 0, "base_lr must be positive")
+        _require(0 < self.base_lr < math.inf, "base_lr must be positive and finite")
         _require(0 < self.lr_decay_factor < 1, "lr_decay_factor must be in (0, 1)")
         _require(self.lr_decay_every >= 0, "lr_decay_every must be >= 0")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
@@ -529,7 +532,7 @@ class TrainConfig:
         _require(0 <= self.dropout_rate < 1, "dropout_rate must be in [0, 1)")
         _require(0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1,
                  "adam betas must be in (0, 1)")
-        _require(self.adam_eps > 0, "adam_eps must be positive")
+        _require(0 < self.adam_eps < math.inf, "adam_eps must be positive and finite")
         _require(0 < self.bn_momentum < 1, "bn_momentum must be in (0, 1)")
         _require(0 < self.split_ratio < 1, "split_ratio must be in (0, 1)")
 

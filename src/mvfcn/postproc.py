@@ -116,6 +116,8 @@ def remove_small_regions(mask, min_area: int = 50, connectivity: int = 8):
     a component of exactly ``min_area`` pixels survives."""
     if min_area < 0:
         raise ConfigError(f"min_area must be non-negative, got {min_area}")
+    if connectivity not in (4, 8):
+        raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
     mask = np.asarray(mask)
     out = (mask != 0).astype(np.uint8)
     if min_area == 0 or not out.any():

@@ -123,14 +123,18 @@ def _row_blocks(oh: int, row_bytes: int):
         yield r0, min(step, oh - r0)
 
 
-def _windows(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
-    """Walk the big side (n, c, h, w) by image and block of small-side rows
-    (k*k*c*ow elements a row under COLUMN_BUDGET), yielding (i, r0, rows, win,
-    part, win_part): ``win`` is the block's window zero-padded by ``pt`` rows
-    on top, ``pl`` columns on the left and as far as the taps reach, ``part``
-    the map region it covers (a view of ``big``) and ``win_part`` its place in
-    ``win``. All windows share one buffer; ``part[...] = win_part`` stores one."""
+def _windows(big, k: int, s: int):
+    """Walk the big side (n, c, h, w) of a stride-``s`` k x k convolution by
+    image and block of small-side rows (k*k*c*ow elements a row under
+    COLUMN_BUDGET), yielding (i, r0, rows, win, part, win_part): ``win`` is
+    the block's window, zero-padded as far as the taps reach, ``part`` the
+    map region it covers (a view of ``big``) and ``win_part`` its place in
+    ``win``. All windows share one buffer; ``part[...] = win_part`` stores one.
+    The only code that derives the same-floor padding and the small side,
+    ceil(h / s) x ceil(w / s), from the big side's size."""
     n, c, h, w = big.shape
+    pt, _, oh = same_floor_padding(h, k, s)
+    pl, _, ow = same_floor_padding(w, k, s)
     blocks = list(_row_blocks(oh, k * k * c * ow * big.itemsize))
     win_w = (ow - 1) * s + k
     cw = min(w, win_w - pl)  # map columns some window reaches
@@ -147,15 +151,16 @@ def _windows(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
             yield i, r0, rows, buf[:, :win_h], part, win_part
 
 
-def _column_blocks(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
+def _column_blocks(big, k: int, s: int):
     """Im2col through :func:`_windows`: yield (i, r0, rows, cols), cols being
     image i's (k*k*c, rows*ow) matrix whose row (ki, kj, ci) is channel ci of tap (ki, kj)."""
-    n, c = big.shape[:2]
+    n, c, h = big.shape[:3]
     if k == s == 1:  # a 1x1 kernel's columns are the image itself
         for i in range(n):
-            yield i, 0, oh, big[i].reshape(c, -1)
+            yield i, 0, h, big[i].reshape(c, -1)
         return
-    for i, r0, rows, win, _, _ in _windows(big, k, s, oh, ow, pt, pl):
+    for i, r0, rows, win, _, _ in _windows(big, k, s):
+        ow = (win.shape[2] - k) // s + 1  # the window spans (ow - 1) * s + k columns
         if i == r0 == 0:  # the first block is the tallest: size the buffer
             buf = np.empty(k * k * c * rows * ow, dtype=big.dtype)
         cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
@@ -164,16 +169,15 @@ def _column_blocks(big, k: int, s: int, oh: int, ow: int, pt: int, pl: int):
         yield i, r0, rows, cols.reshape(k * k * c, -1)
 
 
-def _weight_grad(small, big, weights, s: int, pt: int, pl: int):
+def _weight_grad(small, big, weights, s: int):
     """Kernel gradient shared by both convolutions: each tap correlates the
     small side (n, a, oh, ow) with its window of the big side (n, b, ...),
-    zero-padded by (pt, pl) at the top left, giving an (a, b) slice of a
-    weights-shaped array. One GEMM per row block against the big side's
-    column matrix."""
-    n, a, oh, ow = small.shape
+    giving an (a, b) slice of a weights-shaped array. One GEMM per row block
+    against the big side's column matrix."""
+    a = small.shape[1]
     k = weights.shape[-1]
     acc = sum(small[i, :, r0:r0 + rows].reshape(a, -1) @ cols.T
-              for i, r0, rows, cols in _column_blocks(big, k, s, oh, ow, pt, pl))
+              for i, r0, rows, cols in _column_blocks(big, k, s))
     d_w = np.empty_like(weights)
     d_w[...] = acc.reshape(a, k, k, -1).transpose(0, 3, 1, 2)
     return d_w
@@ -200,16 +204,10 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
     its window through the kernel: one GEMM per block of output rows.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
-    n, c, h, w = x.shape
-    k, s = spec.kernel, spec.stride
-    pt, _, oh = same_floor_padding(h, k, s)
-    pl, _, ow = same_floor_padding(w, k, s)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"empty output {oh}x{ow} after striding")
     cout = spec.out_channels
     w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
-    for i, r0, rows, cols in _column_blocks(x, k, s, oh, ow, pt, pl):
+    out = np.empty((x.shape[0], cout, *spec.output_hw(*x.shape[2:])), dtype=x.dtype)
+    for i, r0, rows, cols in _column_blocks(x, spec.kernel, spec.stride):
         # each channel's block rows are contiguous, so the reshape is a view
         np.matmul(w_mat, cols, out=out[i, :, r0:r0 + rows].reshape(cout, -1))
     if bias is not None:
@@ -225,21 +223,18 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     d_x is None when ``input_grad`` is off.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
-    n, c, h, w = x.shape
+    n, _, h, w = x.shape
     k, s = spec.kernel, spec.stride
-    pt, _, oh = same_floor_padding(h, k, s)
-    pl, _, ow = same_floor_padding(w, k, s)
     d_out = np.asarray(d_out)
-    if d_out.shape != (n, spec.out_channels, oh, ow):
+    expected = (n, spec.out_channels, *spec.output_hw(h, w))
+    if d_out.shape != expected:
         raise ShapeError(
-            f"upstream gradient shaped {d_out.shape}, forward produced "
-            f"{(n, spec.out_channels, oh, ow)}"
-        )
+            f"upstream gradient shaped {d_out.shape}, forward produced {expected}")
     d_x = None
     if input_grad:
         adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
         d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
-    d_w = _weight_grad(d_out, x, weights, s, pt, pl)
+    d_w = _weight_grad(d_out, x, weights, s)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
@@ -257,16 +252,14 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     n, c, h, w = x.shape
     k, s = spec.kernel, spec.stride
     out_h, out_w = out_hw if out_hw is not None else spec.output_hw(h, w)
-    pt, _, ih = same_floor_padding(out_h, k, s)
-    pl, _, iw = same_floor_padding(out_w, k, s)
-    if (ih, iw) != (h, w):
+    cout = spec.out_channels
+    if ConvSpec(k, s, cout, c).output_hw(out_h, out_w) != (h, w):
         raise ShapeError(
             f"target {out_h}x{out_w} is not a stride-{s} preimage of input {h}x{w}"
         )
-    cout = spec.out_channels
     w_mat = weights.transpose(2, 3, 1, 0).reshape(-1, c)
     out = np.zeros((n, cout, out_h, out_w), dtype=x.dtype)
-    for i, r0, rows, win, part, win_part in _windows(out, k, s, h, w, pt, pl):
+    for i, r0, rows, win, part, win_part in _windows(out, k, s):
         slabs = (w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)).reshape(k, k, cout, rows, w)
         for ki, kj, r, q in _taps(k, s, rows, w):
             win[:, r, q] += slabs[ki, kj]
@@ -293,17 +286,13 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
             f"(n={n}, cout={spec.out_channels}, ...)"
         )
     out_h, out_w = d_out.shape[2:]
-    pt, _, ih = same_floor_padding(out_h, k, s)
-    pl, _, iw = same_floor_padding(out_w, k, s)
-    if (ih, iw) != (h, w):
+    adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
+    if adjoint.output_hw(out_h, out_w) != (h, w):
         raise ShapeError(
             f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
         )
-    d_x = None
-    if input_grad:
-        adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
-        d_x = conv2d_forward(d_out, weights, None, adjoint)
-    d_w = _weight_grad(x, d_out, weights, s, pt, pl)
+    d_x = conv2d_forward(d_out, weights, None, adjoint) if input_grad else None
+    d_w = _weight_grad(x, d_out, weights, s)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 

@@ -17,6 +17,13 @@ def rng():
     return EngineRng(1234)
 
 
+def write_raw_scoremap(path, score):
+    """Write a score-map sidecar byte for byte, bypassing save_scoremap's
+    checks, so readers can be shown maps no writer would produce."""
+    score = np.asarray(score, dtype="<f4")
+    path.write_bytes(b"MVSC" + np.array(score.shape, "<u4").tobytes() + score.tobytes())
+
+
 def rel_err(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -290,11 +290,11 @@ class TestBinarize:
 
     @pytest.mark.parametrize("method", ["otsu", "global:0.5"])
     def test_non_finite_sidecar_exits_3(self, tmp_path, score_dir, capsys, method):
-        from mvfcn.io import save_scoremap
+        from conftest import write_raw_scoremap
         score = np.full((20, 20), 0.2, dtype=np.float32)
         score[5:15, 5:15] = 0.6
         score[7, 7] = np.nan
-        save_scoremap(score, score_dir / "in000002.f32")
+        write_raw_scoremap(score_dir / "in000002.f32", score)
         assert run_cli("binarize", "--scores", score_dir, "--method", method,
                        "--out", tmp_path / "m") == 3
         assert "in000002.f32: score map holds a non-finite value" in capsys.readouterr().err

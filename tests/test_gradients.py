@@ -82,8 +82,10 @@ class TestConvGradients:
         spec = ConvSpec(3, 2, 1, 1)
         x = np.zeros((1, 1, 6, 6))
         w = np.zeros(spec.weight_shape())
-        with pytest.raises(ShapeError):
-            conv2d_backward(x, w, spec, np.zeros((1, 1, 6, 6)))
+        # wrong size, batch and channels: the forward output is (1, 1, 3, 3)
+        for shape in [(1, 1, 6, 6), (2, 1, 3, 3), (1, 2, 3, 3)]:
+            with pytest.raises(ShapeError):
+                conv2d_backward(x, w, spec, np.zeros(shape))
 
 
 class TestTransposeConvGradients:
@@ -120,6 +122,18 @@ class TestTransposeConvGradients:
         d_x, _, _ = convT2d_backward(x, w, spec, d_out)
         ref = conv2d_forward(d_out, w, None, ConvSpec(3, 2, 3, 4))
         assert np.allclose(d_x, ref, atol=1e-12)
+
+    # the forward output is (1, 3, 6, 8); 5x7 would also map back to 3x4, 8x8 does not
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 3, 6, 8), "does not match"),
+        ((1, 2, 6, 8), "does not match"),
+        ((1, 3, 8, 8), "8x8 is not a stride-2 image of 3x4"),
+    ], ids=["batch", "channels", "spatial"])
+    def test_upstream_shape_mismatch_rejected(self, shape, match):
+        spec = TransposeConvSpec(3, 2, 2, 3)
+        x = np.zeros((1, 2, 3, 4))
+        with pytest.raises(ShapeError, match=match):
+            convT2d_backward(x, np.zeros(spec.weight_shape()), spec, np.zeros(shape))
 
 
 class TestAdjointIdentity:

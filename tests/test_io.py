@@ -2,7 +2,9 @@
 and config parsing."""
 
 import hashlib
+import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,14 @@ from mvfcn import EngineRng, build_mvfcn
 from mvfcn.errors import CheckpointError, ConfigError, DataError
 from mvfcn.io import (
     _CONFIG_KEYS,
+    MAGIC,
+    VERSION,
     AugmentConfig,
     GtMapping,
     RunConfig,
     TrainConfig,
     apply_state,
+    checksum64,
     discover_dataset,
     load_checkpoint,
     load_gt,
@@ -30,6 +35,8 @@ from mvfcn.io import (
     validate_payload,
 )
 from mvfcn.train import AdamState
+
+from conftest import write_raw_scoremap
 
 
 class TestImageCodec:
@@ -274,6 +281,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
 
+    def test_entry_size_past_int64_is_truncated(self, tmp_path):
+        # 2^31 * 2^31 * 4 elements: the count is 2^64, which wraps to 0 in int64
+        body = (MAGIC + struct.pack("<IQI", VERSION, 0, 1)
+                + struct.pack("<HBB3I", 30, 0, 3, 2**31, 2**31, 4))
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(body + struct.pack("<Q", checksum64(body)))
+        with pytest.raises(CheckpointError, match="truncated entry payload"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "y.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -403,9 +419,12 @@ class TestScoremapSidecar:
     def test_non_finite_score_names_file(self, tmp_path, value):
         score = np.full((4, 4), 0.5, np.float32)
         score[1, 2] = value
-        save_scoremap(score, tmp_path / "s.f32")
+        write_raw_scoremap(tmp_path / "s.f32", score)
         with pytest.raises(DataError, match="s.f32: score map holds a non-finite value"):
             load_scoremap(tmp_path / "s.f32")
+        with pytest.raises(DataError, match="t.f32: cannot write a non-finite score"):
+            save_scoremap(score, tmp_path / "t.f32")
+        assert not (tmp_path / "t.f32").exists()
 
     @pytest.mark.parametrize("h,w", [(0, 5), (5, 0), (0, 0)])
     def test_empty_score_map_names_file(self, tmp_path, h, w):
@@ -450,6 +469,7 @@ CONFIG_ROUTES = [
 OUT_OF_RANGE = [
     (TrainConfig, "seed", -1),
     (TrainConfig, "base_lr", 0.0),
+    (TrainConfig, "base_lr", math.inf),
     (TrainConfig, "lr_decay_factor", 1.0),
     (TrainConfig, "lr_decay_every", -1),
     (TrainConfig, "batch_size", 0),
@@ -458,6 +478,7 @@ OUT_OF_RANGE = [
     (TrainConfig, "adam_beta1", 2.0),
     (TrainConfig, "adam_beta2", 0.0),
     (TrainConfig, "adam_eps", 0.0),
+    (TrainConfig, "adam_eps", math.inf),
     (TrainConfig, "bn_momentum", 1.0),
     (TrainConfig, "split_ratio", 1.5),
     (AugmentConfig, "max_rotation_deg", 180.0),

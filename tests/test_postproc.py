@@ -146,6 +146,11 @@ class TestRemoveSmallRegions:
         with pytest.raises(ConfigError):
             remove_small_regions(np.zeros((2, 2), np.uint8), -1)
 
+    @pytest.mark.parametrize("fill, min_area", [(0, 50), (1, 0), (1, 50)])
+    def test_bad_connectivity_rejected_whatever_the_mask(self, fill, min_area):
+        with pytest.raises(ConfigError, match="connectivity must be 4 or 8, got 5"):
+            remove_small_regions(np.full((4, 4), fill, np.uint8), min_area, connectivity=5)
+
     @given(seed=st.integers(0, 10_000), min_area=st.integers(1, 12),
            connectivity=st.sampled_from([4, 8]))
     @settings(max_examples=60, deadline=None)
