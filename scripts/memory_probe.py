@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Report the memory and wall time of one infer forward and one train
-step of the canonical network on random input.
+"""Report the memory and wall time of one infer forward and two
+consecutive train steps of the canonical network on random input.
 
 For each pass it prints the tracemalloc peak (the most memory numpy and
-Python held at once during the pass, above what they held when it
-started) and the wall time. At exit it prints the process's peak resident
-set size (ru_maxrss in MB of 1024 KiB, as bench/run.py reads peak_rss_mb),
-which also counts the interpreter, BLAS buffers, tracemalloc's own records
-and memory the allocator has not returned. Reporting only: nothing is
-checked against a bound.
+Python held at once during the pass), the memory still held after it,
+and the wall time. Infer counts from where its pass started; both train
+steps count from where the first one started, and the steps hold their
+cache the way train_loop does, bound until the next forward returns, so
+memory a step keeps into the next one shows in the second step's peak.
+At exit it prints the process's peak resident set size (ru_maxrss in MB
+of 1024 KiB, as bench/run.py reads peak_rss_mb), which also counts the
+interpreter, BLAS buffers, tracemalloc's own records and memory the
+allocator has not returned. Reporting only: nothing is checked against
+a bound.
 
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 1 --pass infer
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 2 --pass train
@@ -29,14 +33,18 @@ def _size(text):
     return int(h), int(w)
 
 
-def _measure(label, fn):
+def _measure(label, fn, since=None):
+    """Run fn; print the traced peak and what stays traced after, both above
+    ``since`` (default: what was traced when fn started), and the time."""
     tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
+    if since is None:
+        since = tracemalloc.get_traced_memory()[0]
     start = time.perf_counter()
     fn()
     seconds = time.perf_counter() - start
-    peak = tracemalloc.get_traced_memory()[1] - before
-    print(f"{label}: peak {peak / 2**20:.1f} MiB, {seconds:.2f} s")
+    now, peak = tracemalloc.get_traced_memory()
+    print(f"{label}: peak {(peak - since) / 2**20:.1f} MiB, "
+          f"held after {(now - since) / 2**20:.1f} MiB, {seconds:.2f} s")
 
 
 def main():
@@ -62,17 +70,22 @@ def main():
     def infer():
         forward(graph, x, mode="infer")
 
+    held = {}  # the loop's names: the cache stays bound into the next step
+
     def train_step():
-        _, cache = forward(graph, x, mode="train", rng=rng)
-        _, d_logits = bce_loss(cache.logits, y)
-        adam_step(graph, backward(graph, cache, d_logits), adam)
+        _, held["cache"] = forward(graph, x, mode="train", rng=rng)
+        _, d_logits = bce_loss(held["cache"].logits, y)
+        held["grads"] = backward(graph, held["cache"], d_logits)
+        adam_step(graph, held["grads"], adam)
 
     print(f"batch {args.batch}, {args.size[0]}x{args.size[1]}")
     tracemalloc.start()
     if args.which in ("infer", "both"):
         _measure("infer forward", infer)
     if args.which in ("train", "both"):
-        _measure("train step", train_step)
+        since = tracemalloc.get_traced_memory()[0]
+        for step in (1, 2):
+            _measure(f"train step {step}", train_step, since)
     tracemalloc.stop()
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
 

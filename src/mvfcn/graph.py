@@ -94,9 +94,15 @@ class ModelGraph:
                         f"layer {layer.id} references {src}, which is not defined earlier"
                     )
             self.by_id[layer.id] = layer
-        # activation id -> the layer that reads it last; an infer-mode
-        # forward releases the activation once that layer has run
+        # activation id -> the layer that reads it last; a forward releases
+        # the activation once that layer has run, unless it is kept
         self.last_reader = {src: layer.id for layer in self.layers for src in layer.inputs}
+        # activations some backward reads: each conv's input (for its
+        # weight gradient) and each ReLU or sigmoid output (for its mask);
+        # a train-mode forward keeps them for backward
+        self.kept = frozenset(
+            [l.inputs[0] for l in self.layers if l.kind in CONV_KINDS]
+            + [l.id for l in self.layers if l.activation != "none"])
         self.channels = self._infer_channels()
         self.params: dict[int, dict[str, np.ndarray]] = {}
         self.bn_states: dict[int, BatchNormState] = {}
@@ -274,9 +280,11 @@ def count_params(graph: ModelGraph) -> tuple[int, list[tuple[int, int]]]:
 class ForwardCache:
     """Per-layer activations and residuals kept for the backward pass.
 
-    A train-mode forward keeps every layer's output; an infer-mode one
-    keeps only the final layer's, since each activation is released right
-    after the last layer that reads it.
+    Each activation is released right after the last layer that reads it,
+    so an infer-mode cache ends with the final layer's output alone. A
+    train-mode cache also holds ``graph.kept``, the activations backward
+    reads, plus the batch-norm and dropout residuals in ``extras``.
+    :func:`backward` consumes it: it pops each layer's entries as it walks.
     """
 
     mode: str
@@ -290,7 +298,9 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
 
     The score map is the final layer's post-activation output; when the
     final activation is a sigmoid the cache also records its pre-activation
-    logits so a fused loss can skip the saturating exponent.
+    logits so a fused loss can skip the saturating exponent. Each
+    activation is dropped after its last reader, except that a train-mode
+    forward keeps those in ``graph.kept`` for :func:`backward`.
     """
     if mode not in (TRAIN, INFER):
         raise ValueError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
@@ -304,6 +314,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     _check_input(graph, *x.shape[1:])
 
     cache = ForwardCache(mode=mode)
+    kept = graph.kept if mode == TRAIN else ()
     last = graph.layers[-1]
     for layer in graph.layers:
         if layer.kind == "input":
@@ -328,10 +339,9 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             out, mask = dropout(cache.outputs[layer.inputs[0]], layer.rate, rng, mode)
             cache.extras[layer.id] = mask
         cache.outputs[layer.id] = out
-        if mode == INFER:
-            for src in set(layer.inputs):
-                if graph.last_reader[src] == layer.id:
-                    del cache.outputs[src]
+        for src in set(layer.inputs):
+            if graph.last_reader[src] == layer.id and src not in kept:
+                del cache.outputs[src]
     score = cache.outputs[last.id]
     if cache.logits is None:
         cache.logits = score
@@ -354,24 +364,32 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     fused-loss convention), so the final activation is not chained through.
     Returns a dict layer_id -> {name: gradient} mirroring the parameter
     shapes.
+
+    The walk consumes the cache: it pops each layer's output and extras
+    when it reaches that layer, since every reader of a layer comes later
+    in the forward order and so earlier in this walk. A spent cache is
+    empty, and a second backward on it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
     if not cache.outputs:
-        raise RuntimeError("forward cache is empty")
+        raise RuntimeError("forward cache is empty; backward consumes it")
     last = graph.layers[-1]
-    d_acc: dict[int, np.ndarray] = {last.id: np.asarray(d_final)}
+    # a copy: ReLU backward runs in place on the gradients of the walk
+    d_acc: dict[int, np.ndarray] = {last.id: np.array(d_final)}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for layer in reversed(graph.layers):
+        out = cache.outputs.pop(layer.id, None)
+        extra = cache.extras.pop(layer.id, None)
         d = d_acc.pop(layer.id, None)
         if d is None or layer.kind == "input":
             continue
-        out = cache.outputs[layer.id]
         if layer is not last:
             if layer.activation == "relu":
-                d = relu_backward(d, out)
+                d = relu_backward(d, out, out=d)
             elif layer.activation == "sigmoid":
                 d = sigmoid_backward(d, out)
+        del out  # released before the conv backward allocates
         if layer.kind in CONV_KINDS:
             src = layer.inputs[0]
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
@@ -388,13 +406,11 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
             for src, part in zip(layer.inputs, concat_backward(d, widths)):
                 _accumulate(d_acc, src, part)
         elif layer.kind == "batchnorm":
-            d_x, d_g, d_b = batchnorm_backward(d, graph.bn_states[layer.id],
-                                               cache.extras[layer.id])
+            d_x, d_g, d_b = batchnorm_backward(d, graph.bn_states[layer.id], extra)
             grads[layer.id] = {"gamma": d_g, "beta": d_b}
             _accumulate(d_acc, layer.inputs[0], d_x)
         else:  # dropout
-            _accumulate(d_acc, layer.inputs[0],
-                        dropout_backward(d, cache.extras[layer.id], layer.rate))
+            _accumulate(d_acc, layer.inputs[0], dropout_backward(d, extra, layer.rate))
     # layers the gradient never reached still owe zero-filled entries
     for lid, name, arr in graph.parameter_items():
         grads.setdefault(lid, {}).setdefault(name, np.zeros_like(arr))

@@ -301,9 +301,10 @@ def relu(x, out=None):
     return np.maximum(x, 0, out=out)
 
 
-def relu_backward(d_out, x):
-    """Pass the upstream gradient where x > 0, zero elsewhere."""
-    return d_out * (x > 0)
+def relu_backward(d_out, x, out=None):
+    """Pass the upstream gradient where x > 0, zero (signed as d_out * 0)
+    elsewhere; ``out=d_out`` applies it in place."""
+    return np.multiply(d_out, x > 0, out=out)
 
 
 def sigmoid(x):
@@ -364,14 +365,17 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        xhat = x - mu.reshape(1, -1, 1, 1)
+        xhat *= inv_std.reshape(1, -1, 1, 1)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype)
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype)
         state.initialized = True
-        return gamma * xhat + beta, (xhat, inv_std)
+        y = xhat * gamma
+        y += beta
+        return y, (xhat, inv_std)
     if mode == INFER:
         if not state.initialized:
             raise RuntimeError(
@@ -391,6 +395,8 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
 def batchnorm_backward(d_out, state: BatchNormState, cache):
     """Gradients through the train-mode normalization.
 
+    d_x = inv_std / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+    with dxhat = d_out * gamma, built in d_x and one scratch array.
     Returns (d_x, d_gamma, d_beta).
     """
     if cache is None:
@@ -399,12 +405,16 @@ def batchnorm_backward(d_out, state: BatchNormState, cache):
     d_out = np.asarray(d_out)
     m = d_out.shape[0] * d_out.shape[2] * d_out.shape[3]
     d_beta = d_out.sum(axis=(0, 2, 3))
-    d_gamma = (d_out * xhat).sum(axis=(0, 2, 3))
-    dxhat = d_out * state.gamma.reshape(1, -1, 1, 1)
+    scratch = d_out * xhat
+    d_gamma = scratch.sum(axis=(0, 2, 3))
+    dxhat = np.multiply(d_out, state.gamma.reshape(1, -1, 1, 1), out=scratch)
     sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    d_x = (inv_std.reshape(1, -1, 1, 1) / m) \
-        * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    d_x = dxhat * xhat
+    sum_dxhat_xhat = d_x.sum(axis=(0, 2, 3), keepdims=True)
+    np.multiply(dxhat, m, out=d_x)
+    d_x -= sum_dxhat
+    d_x -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+    d_x *= inv_std.reshape(1, -1, 1, 1) / m
     return d_x, d_gamma, d_beta
 
 

@@ -370,6 +370,9 @@ class TestInputGradSkip:
 
         monkeypatch.setattr(graph_module, "conv2d_backward", always(conv2d_backward))
         monkeypatch.setattr(graph_module, "convT2d_backward", always(convT2d_backward))
+        # backward consumed the cache: a fresh forward on the same seeds
+        # rebuilds the activations, dropout masks and batch statistics
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(1))
         reference = backward(graph, cache, d_final)
         assert grads.keys() == reference.keys()
         for lid, named in reference.items():
@@ -391,6 +394,18 @@ class TestActivationGradients:
     def test_relu_all_negative_zero_grad(self):
         x = -np.abs(np.random.default_rng(0).normal(size=(4, 4))) - 0.1
         assert not relu_backward(np.ones_like(x), x).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_in_place_matches_allocating_form(self, dtype):
+        r = np.random.default_rng(7)
+        x = r.normal(size=(2, 3, 5, 4)).astype(dtype)
+        x[0, 0, 0] = 0.0  # the kink passes no gradient
+        d = r.normal(size=x.shape).astype(dtype)
+        expected = relu_backward(d, x)
+        assert np.signbit(expected[(x <= 0) & (d < 0)]).all()  # -d * 0 is -0.0
+        got = relu_backward(d, x, out=d)
+        assert got is d
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sigmoid_matches_fd(self, seed):
@@ -424,6 +439,59 @@ class TestBatchNormGradients:
         assert rel_err(d_x, numerical_grad(lambda v: loss(x=v), x)) < TOL
         assert rel_err(d_gamma, numerical_grad(lambda v: loss(gamma=v), gamma)) < TOL
         assert rel_err(d_beta, numerical_grad(lambda v: loss(beta=v), beta)) < TOL
+
+    @staticmethod
+    def _train_pass(dtype, shape=(3, 5, 6, 7)):
+        r = np.random.default_rng(210)
+        c = shape[1]
+        x = r.normal(1.0, 2.0, size=shape).astype(dtype)
+        state = BatchNormState.create(c, dtype=dtype)
+        state.gamma[:] = r.normal(1.0, 0.2, size=c)
+        state.beta[:] = r.normal(size=c)
+        d_out = r.normal(size=shape).astype(dtype)
+        return x, state, d_out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_pass_bytes_match_the_unfused_formula(self, dtype):
+        x, state, d_out = self._train_pass(dtype)
+        y, cache = batchnorm_forward(x, state, "train")
+        d_x, d_gamma, d_beta = batchnorm_backward(d_out, state, cache)
+
+        # oracle: the same formulas, each term a fresh array
+        gamma = state.gamma.reshape(1, -1, 1, 1)
+        beta = state.beta.reshape(1, -1, 1, 1)
+        mu = x.mean(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + state.eps)
+        xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        dxhat = d_out * gamma
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        expected_d_x = (inv_std.reshape(1, -1, 1, 1) / m) \
+            * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        assert y.tobytes() == (gamma * xhat + beta).tobytes()
+        assert cache[0].tobytes() == xhat.tobytes()
+        assert d_x.tobytes() == expected_d_x.tobytes()
+        assert d_gamma.tobytes() == (d_out * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert d_beta.tobytes() == d_out.sum(axis=(0, 2, 3)).tobytes()
+
+    def test_train_pass_holds_two_input_sized_arrays(self):
+        # forward: xhat and y; backward: d_x and one scratch array. The
+        # unfused formulas held a third temporary in each pass
+        x, state, d_out = self._train_pass(np.float32, (2, 16, 64, 64))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, cache = batchnorm_forward(x, state, "train")
+            forward_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batchnorm_backward(d_out, state, cache)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 2.5 * x.nbytes
+        assert backward_peak < 2.5 * x.nbytes
 
 
 class TestDropoutGradient:

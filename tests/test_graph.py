@@ -11,6 +11,8 @@ from mvfcn import (
     LayerSpec,
     ModelGraph,
     ShapeError,
+    backward,
+    bce_loss,
     build_mvfcn,
     count_params,
     forward,
@@ -147,7 +149,9 @@ class TestShapeInference:
         graph.initialize_parameters(EngineRng(0))
         shapes = infer_shapes(graph, (3, 48, 32))
         x = np.random.default_rng(0).uniform(size=(2, 3, 48, 32)).astype(np.float32)
+        graph.kept = frozenset(graph.by_id)  # keep every activation to compare
         _, cache = forward(graph, x, mode="train", rng=EngineRng(1))
+        assert sorted(cache.outputs) == sorted(shapes)
         for lid, (c, h, w) in shapes.items():
             assert cache.outputs[lid].shape == (2, c, h, w)
 
@@ -222,7 +226,9 @@ class TestForward:
         x = np.random.default_rng(12).uniform(size=(2, 2, 8, 8)).astype(np.float32)
         score, cache = forward(graph, x, mode="train", rng=EngineRng(13))
         assert score.shape == (2, 1, 8, 8)
-        assert cache.outputs[5].shape == (2, 6, 8, 8)
+        # the concat (5) is released after batch norm reads it; the batch
+        # norm output keeps its shape
+        assert cache.outputs[6].shape == (2, 6, 8, 8)
 
 
 class TestActivationLiveness:
@@ -247,11 +253,61 @@ class TestActivationLiveness:
         assert cache.logits.shape == score.shape and cache.logits is not score
         assert not any(e is not None for e in cache.extras.values())
 
-    def test_train_cache_holds_every_layer(self):
+    def test_kept_table(self):
+        # conv inputs 1, 2, 3, 6 and activated outputs 2, 3, 7
+        assert fanout_graph().kept == {1, 2, 3, 6, 7}
+
+    def test_train_cache_holds_the_kept_set(self):
+        # only the transposed convs and the head concat are read by no
+        # backward, so a train-mode forward releases them
         graph = self._warm_graph()
         x = np.random.default_rng(18).uniform(size=(2, 3, 32, 32)).astype(np.float32)
         _, cache = forward(graph, x, mode="train", rng=EngineRng(19))
-        assert sorted(cache.outputs) == [layer.id for layer in graph.layers]
+        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28}
+        assert sorted(cache.outputs) == sorted(graph.kept)
+        assert sorted(cache.extras) == [29, 31]
+
+    def test_backward_consumes_the_cache(self):
+        graph = self._warm_graph()
+        x = np.random.default_rng(21).uniform(size=(2, 3, 32, 32)).astype(np.float32)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(22))
+        d_logits = np.ones_like(cache.logits)
+        backward(graph, cache, d_logits)
+        assert cache.outputs == {} and cache.extras == {}
+        with pytest.raises(RuntimeError, match="empty"):
+            backward(graph, cache, d_logits)
+
+    def test_backward_leaves_the_callers_gradient_intact(self):
+        # the final concat hands views of d_final to a ReLU layer, whose
+        # backward runs in place
+        graph = ModelGraph([LayerSpec(1, "input"), LayerSpec(2, "conv", (1,), 3, 1, 2, "relu"),
+                            LayerSpec(3, "concat", (2,))], in_channels=1)
+        graph.initialize_parameters(EngineRng(25))
+        x = np.random.default_rng(26).normal(size=(1, 1, 4, 4)).astype(np.float32)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(27))
+        assert not cache.outputs[2].all()  # some outputs are clipped at zero
+        d_final = np.ones((1, 2, 4, 4), np.float32)
+        backward(graph, cache, d_final)
+        assert (d_final == 1).all()
+
+    def test_train_step_peak_memory_at_paper_size(self):
+        # one 240x320 frame: the kept activations plus one layer's gradients
+        # and temporaries; holding every activation through backward
+        # peaked at about 363 MiB
+        graph = self._warm_graph()
+        r = np.random.default_rng(23)
+        x = r.uniform(size=(1, 3, 240, 320)).astype(np.float32)
+        y = (r.uniform(size=(1, 1, 240, 320)) > 0.5).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, cache = forward(graph, x, mode="train", rng=EngineRng(24))
+            _, d_logits = bce_loss(cache.logits, y)
+            backward(graph, cache, d_logits)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 290 * 2**20
 
     def test_infer_peak_memory_at_paper_size(self):
         # all 32 activations of one 240x320 frame take about 159 MB; the
