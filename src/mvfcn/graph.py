@@ -19,6 +19,7 @@ from .tensor import (
     BatchNormState,
     ConvSpec,
     TransposeConvSpec,
+    batchnorm_affine,
     batchnorm_backward,
     batchnorm_forward,
     concat_backward,
@@ -94,18 +95,40 @@ class ModelGraph:
                         f"layer {layer.id} references {src}, which is not defined earlier"
                     )
             self.by_id[layer.id] = layer
+        readers = {}
+        for layer in self.layers:
+            for src in layer.inputs:
+                readers.setdefault(src, []).append(layer)
         # activation id -> the layer that reads it last; a forward releases
         # the activation once that layer has run, unless it is kept
-        self.last_reader = {src: layer.id for layer in self.layers for src in layer.inputs}
-        # activations some backward reads: each conv's input (for its
-        # weight gradient) and each ReLU or sigmoid output (for its mask);
-        # a train-mode forward keeps them for backward
-        self.kept = frozenset(
-            [l.inputs[0] for l in self.layers if l.kind in CONV_KINDS]
-            + [l.id for l in self.layers if l.activation != "none"])
+        self.last_reader = {src: rs[-1].id for src, rs in readers.items()}
+        sole = {src: rs[0] for src, rs in readers.items()
+                if len(rs) == 1 and rs[0].inputs == (src,)}
+        # ReLU id -> the dropout that alone reads it: the dropout's output,
+        # x * mask * scale with scale >= 1, is positive exactly where the
+        # ReLU output is and the mask keeps; where the mask drops, the
+        # gradient reaching the ReLU is already a signed zero (or NaN), which
+        # a 0 or a 1 leaves as it is. So its output stands in for the mask
+        self.stand_in = {src: r.id for src, r in sole.items()
+                         if self.by_id[src].activation == "relu" and r.kind == "dropout"}
+        # batch-norm ids that one conv alone reads: that conv's backward
+        # rebuilds its input from the batch norm's xhat
+        self.rebuilt = frozenset(src for src, r in sole.items()
+                                 if self.by_id[src].kind == "batchnorm"
+                                 and r.kind in CONV_KINDS)
+        self.kept = self._kept()
         self.channels = self._infer_channels()
         self.params: dict[int, dict[str, np.ndarray]] = {}
         self.bn_states: dict[int, BatchNormState] = {}
+
+    def _kept(self) -> frozenset:
+        """The activations some backward reads, which a train-mode forward
+        keeps: each conv's input (for its weight gradient) unless rebuilt,
+        and each ReLU or sigmoid output (for its mask) or its stand-in."""
+        conv_inputs = {l.inputs[0] for l in self.layers if l.kind in CONV_KINDS}
+        masks = {self.stand_in.get(l.id, l.id) for l in self.layers
+                 if l.activation != "none"}
+        return frozenset((conv_inputs - self.rebuilt) | masks)
 
     def _infer_channels(self) -> dict[int, int]:
         channels = {}
@@ -283,8 +306,11 @@ class ForwardCache:
     Each activation is released right after the last layer that reads it,
     so an infer-mode cache ends with the final layer's output alone. A
     train-mode cache also holds ``graph.kept``, the activations backward
-    reads, plus the batch-norm and dropout residuals in ``extras``.
-    :func:`backward` consumes it: it pops each layer's entries as it walks.
+    reads, plus the batch-norm and dropout residuals in ``extras``. It
+    holds no output that ``graph.rebuilt`` lets backward rebuild from a
+    batch norm's xhat, nor any ReLU output whose mask ``graph.stand_in``
+    reads from the dropout after it. :func:`backward` consumes it: it pops
+    each layer's entries as it walks.
     """
 
     mode: str
@@ -367,19 +393,27 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
 
     The walk consumes the cache: it pops each layer's output and extras
     when it reaches that layer, since every reader of a layer comes later
-    in the forward order and so earlier in this walk. A spent cache is
-    empty, and a second backward on it raises RuntimeError.
+    in the forward order and so earlier in this walk. The one exception
+    is a stand-in (``graph.stand_in``): a dropout output is held until its
+    ReLU layer reads its mask from it. A conv whose input is in
+    ``graph.rebuilt`` gets that input rebuilt from the batch norm's xhat.
+    Each gradient is dropped once it is accumulated, and fan-in sums,
+    ReLU and dropout backward write into arrays the walk owns. A spent
+    cache is empty, and a second backward on it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
     if not cache.outputs:
         raise RuntimeError("forward cache is empty; backward consumes it")
     last = graph.layers[-1]
-    # a copy: ReLU backward runs in place on the gradients of the walk
+    stand_ins = set(graph.stand_in.values())
+    # a copy: ReLU and dropout backward run in place on the gradients of the walk
     d_acc: dict[int, np.ndarray] = {last.id: np.array(d_final)}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for layer in reversed(graph.layers):
-        out = cache.outputs.pop(layer.id, None)
+        # a ReLU layer reads its stand-in's output, held until then
+        key = None if layer.id in stand_ins else graph.stand_in.get(layer.id, layer.id)
+        out = cache.outputs.pop(key, None)
         extra = cache.extras.pop(layer.id, None)
         d = d_acc.pop(layer.id, None)
         if d is None or layer.kind == "input":
@@ -393,14 +427,16 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
         if layer.kind in CONV_KINDS:
             src = layer.inputs[0]
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
-            # nothing consumes the gradient w.r.t. the graph input
-            d_x, d_w, d_b = conv_backward(cache.outputs[src],
+            # no name holds a rebuilt input, so the conv backward frees it
+            # before d_x; nothing consumes the gradient w.r.t. the graph input
+            d_x, d_w, d_b = conv_backward(_conv_input(graph, cache, src),
                                           graph.params[layer.id]["weight"],
                                           graph.conv_spec(layer), d,
                                           input_grad=graph.by_id[src].kind != "input")
             grads[layer.id] = {"weight": d_w, "bias": d_b}
             if d_x is not None:
                 _accumulate(d_acc, src, d_x)
+            del d_x  # d_acc holds it now; a stale name would outlive its reader
         elif layer.kind == "concat":
             widths = [graph.channels[i] for i in layer.inputs]
             for src, part in zip(layer.inputs, concat_backward(d, widths)):
@@ -410,18 +446,38 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
             grads[layer.id] = {"gamma": d_g, "beta": d_b}
             _accumulate(d_acc, layer.inputs[0], d_x)
         else:  # dropout
-            _accumulate(d_acc, layer.inputs[0], dropout_backward(d, extra, layer.rate))
+            _accumulate(d_acc, layer.inputs[0],
+                        dropout_backward(d, extra, layer.rate, out=d))
     # layers the gradient never reached still owe zero-filled entries
     for lid, name, arr in graph.parameter_items():
         grads.setdefault(lid, {}).setdefault(name, np.zeros_like(arr))
     return grads
 
 
+def _conv_input(graph, cache, src):
+    """A conv's input for its backward: kept by the forward, or rebuilt
+    from the batch norm's xhat with the forward's own expression."""
+    if src in graph.rebuilt:
+        return batchnorm_affine(cache.extras[src][0], graph.bn_states[src])
+    return cache.outputs[src]
+
+
 def _accumulate(d_acc, src, part):
-    if src in d_acc:
-        d_acc[src] = d_acc[src] + part
-    else:
+    """Add ``part`` into src's gradient, in place when the dtypes allow.
+
+    The walk owns every array in ``d_acc``: a conv's or batch norm's fresh
+    d_x, a ReLU or dropout backward run in place on one, or a view that
+    concat_backward split from one of these. Views split from one array
+    never overlap, so a sum written into one changes no other gradient,
+    even when a concat lists the same source twice.
+    """
+    acc = d_acc.get(src)
+    if acc is None:
         d_acc[src] = part
+    elif np.result_type(acc, part) == acc.dtype:
+        acc += part
+    else:
+        d_acc[src] = acc + part
 
 
 _KIND_LABEL = {

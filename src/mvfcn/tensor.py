@@ -230,11 +230,12 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     if d_out.shape != expected:
         raise ShapeError(
             f"upstream gradient shaped {d_out.shape}, forward produced {expected}")
+    d_w = _weight_grad(d_out, x, weights, s)
+    del x  # an input the caller holds no name for is freed before d_x
     d_x = None
     if input_grad:
         adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
         d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
-    d_w = _weight_grad(d_out, x, weights, s)
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
@@ -291,8 +292,9 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
         raise ShapeError(
             f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
         )
-    d_x = conv2d_forward(d_out, weights, None, adjoint) if input_grad else None
     d_w = _weight_grad(x, d_out, weights, s)
+    del x  # as in conv2d_backward
+    d_x = conv2d_forward(d_out, weights, None, adjoint) if input_grad else None
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
@@ -359,13 +361,12 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         raise ShapeError(
             f"input has {x.shape[1]} channels, state holds {state.channels}"
         )
-    gamma = state.gamma.reshape(1, -1, 1, 1)
-    beta = state.beta.reshape(1, -1, 1, 1)
     if mode == TRAIN:
         mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        # one centring pass feeds both: x.var centres again internally
         xhat = x - mu.reshape(1, -1, 1, 1)
+        var = np.square(xhat).mean(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + state.eps)
         xhat *= inv_std.reshape(1, -1, 1, 1)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
@@ -373,9 +374,7 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype)
         state.initialized = True
-        y = xhat * gamma
-        y += beta
-        return y, (xhat, inv_std)
+        return batchnorm_affine(xhat, state), (xhat, inv_std)
     if mode == INFER:
         if not state.initialized:
             raise RuntimeError(
@@ -390,6 +389,14 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         y += shift.reshape(1, -1, 1, 1)
         return y, None
     raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
+
+
+def batchnorm_affine(xhat, state: BatchNormState):
+    """The train-mode output ``xhat * gamma + beta``: the forward builds it
+    here, and a backward that did not keep it rebuilds the same bits here."""
+    y = xhat * state.gamma.reshape(1, -1, 1, 1)
+    y += state.beta.reshape(1, -1, 1, 1)
+    return y
 
 
 def batchnorm_backward(d_out, state: BatchNormState, cache):
@@ -439,6 +446,10 @@ def concat_backward(d_out, channel_sizes):
     return np.split(d_out, offsets, axis=1)
 
 
+# Elements of one dropout mask draw
+DROPOUT_CHUNK = 1 << 20
+
+
 def dropout(x, rate: float, rng, mode: str = TRAIN):
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
@@ -451,20 +462,28 @@ def dropout(x, rate: float, rng, mode: str = TRAIN):
         return x, None
     if mode != TRAIN:
         raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    mask = rng.uniform(size=x.shape) >= rate
+    # chunk by chunk, the same doubles in the same stream order as one
+    # uniform(size=x.shape) draw, with no float64 array of x's size
+    mask = np.empty(x.shape, dtype=bool)
+    flat = mask.reshape(-1)
+    for i in range(0, flat.size, DROPOUT_CHUNK):
+        part = flat[i:i + DROPOUT_CHUNK]
+        np.greater_equal(rng.uniform(size=part.size), rate, out=part)
     return _scale_kept(x, mask, rate), mask
 
 
-def dropout_backward(d_out, mask, rate: float):
+def dropout_backward(d_out, mask, rate: float, out=None):
+    """The gradient through :func:`dropout`'s mask; ``out=d_out`` applies
+    it in place."""
     if mask is None:
         return d_out
-    return _scale_kept(d_out, mask, rate)
+    return _scale_kept(d_out, mask, rate, out)
 
 
-def _scale_kept(x, mask, rate: float):
+def _scale_kept(x, mask, rate: float, out=None):
     """x where the bool mask keeps it, scaled by 1 / (1 - rate) in x's own
     dtype; zero (signed as x * 0) where it drops."""
-    y = x * mask
+    y = np.multiply(x, mask, out=out)
     y *= y.dtype.type(1.0 / (1.0 - rate))
     return y
 

@@ -14,6 +14,8 @@ from mvfcn import (
     BatchNormState,
     ConvSpec,
     EngineRng,
+    LayerSpec,
+    ModelGraph,
     TransposeConvSpec,
     backward,
     batchnorm_backward,
@@ -378,6 +380,72 @@ class TestInputGradSkip:
         for lid, named in reference.items():
             for name, value in named.items():
                 assert np.array_equal(grads[lid][name], value), (lid, name)
+
+
+def _twice_concat_graph():
+    """Layer 2 reaches the output three ways, twice through one concat."""
+    L = LayerSpec
+    return ModelGraph([L(1, "input"), L(2, "conv", (1,), 3, 1, 2, "relu"),
+                       L(3, "concat", (2, 2)), L(4, "conv", (3,), 3, 1, 2, "relu"),
+                       L(5, "concat", (4, 2)), L(6, "conv", (5,), 1, 1, 1, "sigmoid")],
+                      in_channels=1)
+
+
+class TestHeadTables:
+    """The stand-in mask and the rebuilt batch-norm output against the maps
+    they replace, and the in-place gradient sums against fresh ones."""
+
+    @staticmethod
+    def _grads(graph, x, d_final, seed):
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(seed))
+        return backward(graph, cache, d_final)
+
+    @staticmethod
+    def _assert_same(grads, reference):
+        assert grads.keys() == reference.keys()
+        for lid, named in reference.items():
+            for name, value in named.items():
+                assert grads[lid][name].tobytes() == value.tobytes(), (lid, name)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])  # at 0, y31 is y30
+    def test_gradients_match_the_kept_maps(self, rate):
+        graph = build_mvfcn(dropout_rate=rate)
+        graph.initialize_parameters(EngineRng(0))
+        r = np.random.default_rng(2)
+        x = r.uniform(size=(2, 3, 32, 48)).astype(np.float32)
+        d_final = r.normal(size=(2, 1, 32, 48)).astype(np.float32)
+        grads = self._grads(graph, x, d_final, 3)
+        # oracle: with both tables empty the forward keeps L29 and L30, and
+        # backward reads L30's own mask and L29's kept output
+        graph.stand_in, graph.rebuilt = {}, frozenset()
+        graph.kept = graph._kept()
+        assert graph.kept == set(range(1, 33)) - {18, 21, 24, 27, 28}
+        self._assert_same(grads, self._grads(graph, x, d_final, 3))
+
+    @pytest.mark.parametrize("make, shape", [(build_mvfcn, (2, 3, 32, 32)),
+                                             (_twice_concat_graph, (2, 1, 6, 5))])
+    def test_in_place_sums_match_fresh_ones(self, monkeypatch, make, shape):
+        graph = make()
+        graph.initialize_parameters(EngineRng(4))
+        r = np.random.default_rng(5)
+        x = r.uniform(size=shape).astype(np.float32)
+        d_final = r.normal(size=(shape[0], 1, *shape[2:])).astype(np.float32)
+        grads = self._grads(graph, x, d_final, 6)
+
+        def fresh(d_acc, src, part):  # the sum before it went in place
+            d_acc[src] = d_acc[src] + part if src in d_acc else part
+
+        monkeypatch.setattr(graph_module, "_accumulate", fresh)
+        self._assert_same(grads, self._grads(graph, x, d_final, 6))
+
+    def test_sum_that_would_narrow_is_not_in_place(self):
+        acc = np.ones(3, np.float32)
+        d_acc = {1: acc}
+        graph_module._accumulate(d_acc, 1, np.full(3, 1e-10))
+        assert d_acc[1].dtype == np.float64 and (acc == 1).all()
+        d_acc = {1: acc}
+        graph_module._accumulate(d_acc, 1, np.ones(3, np.float32))
+        assert d_acc[1] is acc and (acc == 2).all()
 
 
 class TestActivationGradients:

@@ -226,9 +226,9 @@ class TestForward:
         x = np.random.default_rng(12).uniform(size=(2, 2, 8, 8)).astype(np.float32)
         score, cache = forward(graph, x, mode="train", rng=EngineRng(13))
         assert score.shape == (2, 1, 8, 8)
-        # the concat (5) is released after batch norm reads it; the batch
-        # norm output keeps its shape
-        assert cache.outputs[6].shape == (2, 6, 8, 8)
+        # the concat (5) and the batch norm output (6) are released once
+        # read; the batch norm's xhat keeps the concat's shape
+        assert cache.extras[6][0].shape == (2, 6, 8, 8)
 
 
 class TestActivationLiveness:
@@ -254,16 +254,38 @@ class TestActivationLiveness:
         assert not any(e is not None for e in cache.extras.values())
 
     def test_kept_table(self):
-        # conv inputs 1, 2, 3, 6 and activated outputs 2, 3, 7
-        assert fanout_graph().kept == {1, 2, 3, 6, 7}
+        # conv inputs 1, 2, 3 and activated outputs 2, 3, 7; the batch norm
+        # output 6, read only by conv 7, is rebuilt from its xhat
+        assert fanout_graph().kept == {1, 2, 3, 7}
+
+    def test_stand_in_and_rebuilt_tables(self):
+        graph = build_mvfcn()
+        assert graph.stand_in == {30: 31}
+        assert graph.rebuilt == {29}
+        assert 29 not in graph.kept and 30 not in graph.kept and 31 in graph.kept
+        fanout = fanout_graph()
+        assert fanout.stand_in == {} and fanout.rebuilt == {6}
+        assert 6 not in fanout.kept
+
+    def test_tables_need_a_sole_reader(self):
+        # a ReLU output that a concat also reads keeps its own mask, and a
+        # batch norm output that two layers read is kept
+        L = LayerSpec
+        graph = ModelGraph([L(1, "input"), L(2, "conv", (1,), 3, 1, 2, "relu"),
+                            L(3, "dropout", (2,), rate=0.5), L(4, "batchnorm", (3,)),
+                            L(5, "conv", (4,), 1, 1, 2), L(6, "concat", (5, 4, 2)),
+                            L(7, "conv", (6,), 1, 1, 1, "sigmoid")], in_channels=1)
+        assert graph.stand_in == {} and graph.rebuilt == frozenset()
+        assert graph.kept == {1, 2, 4, 6, 7}
 
     def test_train_cache_holds_the_kept_set(self):
-        # only the transposed convs and the head concat are read by no
-        # backward, so a train-mode forward releases them
+        # the transposed convs and the head concat are read by no backward;
+        # the head batch norm output is rebuilt and L30's ReLU mask is read
+        # from L31, so a train-mode forward releases all seven
         graph = self._warm_graph()
         x = np.random.default_rng(18).uniform(size=(2, 3, 32, 32)).astype(np.float32)
         _, cache = forward(graph, x, mode="train", rng=EngineRng(19))
-        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28}
+        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28, 29, 30}
         assert sorted(cache.outputs) == sorted(graph.kept)
         assert sorted(cache.extras) == [29, 31]
 
@@ -308,6 +330,24 @@ class TestActivationLiveness:
         finally:
             tracemalloc.stop()
         assert peak < 290 * 2**20
+
+    def test_train_step_peak_memory_without_the_head_maps(self):
+        # one 240x320 frame with L29 and L30 released: about 159 MiB;
+        # keeping them peaked at about 227 MiB
+        graph = self._warm_graph()
+        r = np.random.default_rng(23)
+        x = r.uniform(size=(1, 3, 240, 320)).astype(np.float32)
+        y = (r.uniform(size=(1, 1, 240, 320)) > 0.5).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, cache = forward(graph, x, mode="train", rng=EngineRng(24))
+            _, d_logits = bce_loss(cache.logits, y)
+            backward(graph, cache, d_logits)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 180 * 2**20
 
     def test_infer_peak_memory_at_paper_size(self):
         # all 32 activations of one 240x320 frame take about 159 MB; the

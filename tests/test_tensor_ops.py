@@ -24,6 +24,7 @@ from mvfcn import (
     transpose_alpha,
     transpose_output_size,
 )
+from mvfcn import tensor
 from mvfcn.errors import ConfigError
 from mvfcn.tensor import same_floor_padding
 
@@ -202,6 +203,26 @@ class TestBatchNorm:
         y, _ = batchnorm_forward(x, state, "train")
         assert np.abs(y - x).max() < 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_statistics_match_the_var_formula(self, dtype):
+        r = np.random.default_rng(9)
+        x = r.normal(3.0, 2.0, size=(3, 4, 7, 9)).astype(dtype)
+        state = BatchNormState.create(4, momentum=0.9, dtype=dtype)
+        _, (xhat, inv_std) = batchnorm_forward(x, state, "train")
+        # oracle: the mean and x.var, which centres x a second time
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        expected_inv_std = 1.0 / np.sqrt(var + state.eps)
+        expected_xhat = x - mu.reshape(1, -1, 1, 1)
+        expected_xhat *= expected_inv_std.reshape(1, -1, 1, 1)
+        fresh = BatchNormState.create(4, dtype=dtype)
+        running_var = (0.9 * fresh.running_var + (1 - 0.9) * var).astype(dtype)
+        running_mean = (0.9 * fresh.running_mean + (1 - 0.9) * mu).astype(dtype)
+        assert inv_std.tobytes() == expected_inv_std.tobytes()
+        assert xhat.tobytes() == expected_xhat.tobytes()
+        assert state.running_var.tobytes() == running_var.tobytes()
+        assert state.running_mean.tobytes() == running_mean.tobytes()
+
     def test_infer_before_train_rejected(self):
         state = BatchNormState.create(2)
         with pytest.raises(RuntimeError):
@@ -307,6 +328,33 @@ class TestDropout:
             assert got.dtype == dtype
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    @pytest.mark.parametrize("size", [
+        (1, 1, 1000, 1000),   # below the chunk
+        (1, 1, 1024, 1024),   # one whole chunk
+        (2, 1, 1024, 1024),   # two whole chunks
+        (1, 3, 700, 700),     # above it, not a multiple of it
+    ])
+    def test_chunked_mask_matches_one_draw(self, size):
+        x = np.ones(size, dtype=np.float32)
+        rng, ref = EngineRng(11), EngineRng(11)
+        _, mask = dropout(x, 0.3, rng, "train")
+        assert tensor.DROPOUT_CHUNK == 1 << 20
+        assert mask.dtype == bool
+        assert np.array_equal(mask, ref.uniform(size=size) >= 0.3)
+        assert np.array_equal(rng.state_words(), ref.state_words())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_in_place_matches_allocating_form(self, dtype):
+        r = np.random.default_rng(4)
+        d = r.normal(size=(2, 3, 5, 4)).astype(dtype)
+        _, mask = dropout(d, 0.5, EngineRng(8), "train")
+        expected = dropout_backward(d, mask, 0.5)
+        assert np.signbit(expected[~mask & (d < 0)]).all()  # -d * 0 is -0.0
+        got = dropout_backward(d, mask, 0.5, out=d)
+        assert got is d
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestResizeNearest:
