@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
-Subcommands: summary, train, infer, binarize, eval. Exit codes are a
-stable scripting contract: 0 success, 2 usage/config errors, 3 data
-errors, 4 checkpoint errors.
+Subcommands: summary, train, infer, binarize, eval. A command exits 0 on
+success and otherwise with the raised error's ``exit_code`` (see
+``errors``); argparse usage errors exit 2.
 """
 
 import argparse
@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DataError, ShapeError
-from .graph import build_mvfcn, forward, infer_shapes, summary
+from .errors import ConfigError, DataError, EngineError
+from .graph import build_mvfcn, forward, summary
 from .io import (
     GtMapping,
     _index_files,
@@ -28,6 +28,7 @@ from .io import (
     save_checkpoint,
     save_image,
     save_scoremap,
+    write_file,
 )
 from .metrics import evaluate_sequence, format_report
 from .postproc import otsu_threshold, remove_small_regions, threshold_global
@@ -46,9 +47,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def cmd_summary(args) -> int:
     h, w = _parse_size(args.input_size)
-    graph = build_mvfcn()
-    infer_shapes(graph, (3, h, w))  # fail fast before printing anything
-    print(summary(graph, (3, h, w)))
+    print(summary(build_mvfcn(), (3, h, w)))
     return 0
 
 
@@ -93,10 +92,9 @@ def cmd_train(args) -> int:
         init = load_checkpoint(args.init)
     result = train_loop(samples, cfg.train, init=init)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, result.best)
     history_path = out.with_name(out.name + ".history.txt")
-    history_path.write_text(result.history.as_table() + "\n", encoding="utf-8")
+    write_file(history_path, (result.history.as_table() + "\n").encode("utf-8"))
     final = result.history.rows[-1]
     print(f"trained {manifest.name}: {len(result.history)} epochs")
     print(f"final train FoM {final.train_fom:.4f}, val FoM {final.val_fom:.4f}")
@@ -115,7 +113,6 @@ def cmd_infer(args) -> int:
     payload = load_checkpoint(args.ckpt, graph)
     apply_state(graph, payload)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for item, stem in zip(args.inputs, stems):
         score, _ = forward(graph, _load_input(item, NETWORK_INPUT), mode=INFER)
         score2d = score[0, 0]
@@ -145,15 +142,12 @@ def cmd_binarize(args) -> int:
     if args.min_area < 0:
         raise ConfigError("--min-area must be non-negative")
     scores_dir = Path(args.scores)
-    if not scores_dir.is_dir():
-        raise DataError(f"{scores_dir} is not a directory")
     sidecars = _index_files(scores_dir, (".f32",))
     maps = _index_files(scores_dir, (".pgm",))
     indices = sorted(set(sidecars) | set(maps))
     if not indices:
         raise DataError(f"{scores_dir} holds no score maps")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for idx in indices:
         if idx in sidecars:  # exact float copy wins over the 8-bit image
             score = load_scoremap(sidecars[idx])
@@ -174,8 +168,6 @@ def cmd_binarize(args) -> int:
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
-    if not pred_dir.is_dir() or not gt_dir.is_dir():
-        raise DataError("prediction and ground-truth paths must be directories")
     preds = sorted(_index_files(pred_dir, (".pgm",)).items())
     gts = sorted(_index_files(gt_dir, (".pgm",)).items())
     if len(preds) != len(gts) or [i for i, _ in preds] != [i for i, _ in gts]:
@@ -200,7 +192,7 @@ def cmd_eval(args) -> int:
     print(f"aggregate: precision={report.precision:.4f} recall={report.recall:.4f} "
           f"fom={report.fom:.4f} (mean-of-frames {report.mean_fom:.4f})")
     report_path = Path(args.report)
-    report_path.write_text(format_report(report) + "\n", encoding="utf-8")
+    write_file(report_path, (format_report(report) + "\n").encode("utf-8"))
     print(f"report: {report_path}")
     return 0
 
@@ -254,15 +246,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -1,6 +1,9 @@
 """File formats: PGM/PPM image codec, ground-truth label decoding, dataset
 discovery, the binary checkpoint format, and key=value config parsing.
 
+This module does all of the package's file reads and writes: a file-system
+failure becomes the reader's or writer's error class.
+
 The config section holds the whole config-file schema. Each key is one typed
 field of ``RunConfig`` (input preprocessing), ``TrainConfig`` (training,
 imported by ``train``), its nested ``AugmentConfig``, or ``GtMapping`` (the
@@ -62,11 +65,31 @@ def checksum64(data: bytes) -> int:
     return lo | (hi << 32)
 
 
+def _read(path: Path, error, read=Path.read_bytes):
+    """``read(path)``, by default the file's bytes; a file-system failure
+    becomes ``error``."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, data: bytes, error=DataError) -> None:
+    """Write ``data`` to ``path``, creating its parent directory on demand."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise error(f"cannot write {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # PGM / PPM codec
 # ---------------------------------------------------------------------------
 
-def _parse_pnm(data: bytes, path):
+def _read_pnm(path: Path):
+    data = _read(path, DataError)
     if len(data) < 2 or data[:1] != b"P" or data[1:2] not in (b"5", b"6"):
         raise DataError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[1:2] == b"5" else 3
@@ -106,12 +129,7 @@ def _parse_pnm(data: bytes, path):
 def load_image(path):
     """Read a binary PGM (P5) or PPM (P6) into a (1, c, h, w) float32 tensor
     scaled to [0, 1]. Interleaved pixels become channel-major planes."""
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    channels, h, w, pixels = _parse_pnm(data, path)
+    channels, h, w, pixels = _read_pnm(Path(path))
     planes = pixels.reshape(h, w, channels).transpose(2, 0, 1)
     return (planes.astype(np.float32) / 255.0)[None]
 
@@ -136,7 +154,7 @@ def save_image(array, path):
     body = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     interleaved = body.transpose(1, 2, 0).tobytes()
     magic = b"P5" if c == 1 else b"P6"
-    Path(path).write_bytes(magic + f"\n{w} {h}\n255\n".encode() + interleaved)
+    write_file(path, magic + f"\n{w} {h}\n255\n".encode() + interleaved)
 
 
 def ensure_rgb(tensor):
@@ -183,11 +201,7 @@ def load_gt(path, mapping: GtMapping = GtMapping()):
     """Decode a grayscale ground-truth frame into (mask, roi), both float32
     {0, 1} arrays of shape (h, w)."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    channels, h, w, pixels = _parse_pnm(data, path)
+    channels, h, w, pixels = _read_pnm(path)
     if channels != 1:
         raise DataError(f"{path}: ground truth must be grayscale (P5)")
     values = pixels.reshape(h, w)
@@ -228,7 +242,7 @@ def _index_files(directory: Path, suffixes=(".pgm", ".ppm")) -> dict[int, Path]:
     """Map the last digit run of each file stem to its path, for files whose
     suffix is in ``suffixes``; two files with the same index are an error."""
     indexed = {}
-    for entry in sorted(directory.iterdir()):
+    for entry in _read(directory, DataError, lambda d: sorted(d.iterdir())):
         if entry.suffix.lower() not in suffixes:
             continue
         digits = re.findall(r"\d+", entry.stem)
@@ -251,12 +265,8 @@ def discover_dataset(root, strict: bool = True) -> DatasetManifest:
     import logging
 
     root = Path(root)
-    input_dir = root / "input"
-    gt_dir = root / "groundtruth"
-    if not input_dir.is_dir() or not gt_dir.is_dir():
-        raise DataError(f"{root} does not contain input/ and groundtruth/ directories")
-    inputs = _index_files(input_dir)
-    gts = _index_files(gt_dir)
+    inputs = _index_files(root / "input")
+    gts = _index_files(root / "groundtruth")
     if not inputs or not gts:
         raise DataError(f"{root}: empty input/ or groundtruth/ directory")
     orphan_gts = sorted(set(gts) - set(inputs))
@@ -342,7 +352,7 @@ def save_checkpoint(path, payload: CheckpointPayload) -> None:
         chunks.append(struct.pack(f"<{len(dims)}I", *dims))
         chunks.append(np.ascontiguousarray(arr, dtype=_entry_dtype(role)).tobytes())
     body = b"".join(chunks)
-    Path(path).write_bytes(body + struct.pack("<Q", checksum64(body)))
+    write_file(path, body + struct.pack("<Q", checksum64(body)), CheckpointError)
 
 
 def load_checkpoint(path, graph=None) -> CheckpointPayload:
@@ -352,10 +362,7 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
     ``validate_payload`` before anything is returned.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    data = _read(path, CheckpointError)
     if len(data) < len(MAGIC) + 4 + 8 + 4 + 8:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
     if data[:4] != MAGIC:
@@ -461,16 +468,13 @@ def save_scoremap(score, path) -> None:
         raise DataError(f"{path}: cannot write an empty score map {h}x{w}")
     if not np.isfinite(score).all():
         raise DataError(f"{path}: cannot write a non-finite score")
-    Path(path).write_bytes(SCORE_MAGIC + struct.pack("<II", h, w)
-                           + np.ascontiguousarray(score, dtype="<f4").tobytes())
+    write_file(path, SCORE_MAGIC + struct.pack("<II", h, w)
+               + np.ascontiguousarray(score, dtype="<f4").tobytes())
 
 
 def load_scoremap(path):
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    data = _read(path, DataError)
     if data[:4] != SCORE_MAGIC or len(data) < 12:
         raise DataError(f"{path}: not a score-map sidecar")
     h, w = struct.unpack_from("<II", data, 4)
@@ -592,9 +596,9 @@ def parse_config(path) -> RunConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text = _read(path, ConfigError).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     values = defaultdict(dict)  # owner class -> {field name: parsed value}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -35,8 +35,6 @@ def make_rectangles_dataset(count: int = 8, size=(64, 64), seed: int = 0,
 def write_dataset_tree(samples, root) -> Path:
     """Write samples as a `input/in%06d.ppm` + `groundtruth/gt%06d.pgm` tree."""
     root = Path(root)
-    (root / "input").mkdir(parents=True, exist_ok=True)
-    (root / "groundtruth").mkdir(parents=True, exist_ok=True)
     for i, sample in enumerate(samples, start=1):
         save_image(sample.image, root / "input" / f"in{i:06d}.ppm")
         save_image(sample.gt, root / "groundtruth" / f"gt{i:06d}.pgm")

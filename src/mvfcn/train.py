@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .graph import ModelGraph, backward, build_mvfcn, forward
-from .io import (AugmentConfig, CheckpointPayload, TrainConfig, apply_state,
-                 snapshot_state, validate_payload)
+from .io import AugmentConfig, CheckpointPayload, TrainConfig, apply_state, snapshot_state
 from .metrics import ConfusionCounts, confusion, fom
 from .postproc import otsu_threshold, threshold_global
 from .rng import EngineRng
@@ -277,12 +276,12 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
                start_epoch: int = 0) -> TrainResult:
     """Mini-batch Adam training over the ordered split of one sequence.
 
-    ``init`` may be a checkpoint payload: its parameters and batch-norm
-    statistics are always applied, and its rng position plus optimizer
-    moments are restored when present, which makes an interrupted run
-    resumable bit-exactly. ``start_epoch`` positions the LR schedule for
-    such resumed runs. Returns the best-validation-FoM checkpoint, the
-    final resumable state, and the per-epoch history.
+    ``init`` may be a checkpoint payload. At ``start_epoch`` 0 it is a
+    weights-only transfer (``transfer_init``), so the run keeps its seed's
+    rng stream and a fresh optimizer. Later it is a resume that also
+    restores the rng position and optimizer moments when present, which
+    continues an interrupted run bit-exactly. Returns the best-validation-FoM
+    checkpoint, the final resumable state, and the per-epoch history.
     """
     dataset = list(dataset)
     if not dataset:
@@ -299,8 +298,10 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
     graph.initialize_parameters(rng)
     adam = AdamState(lr=cfg.base_lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                      eps=cfg.adam_eps)
-    if init is not None:
+    if init is not None and start_epoch > 0:
         apply_state(graph, init, rng=rng, adam=adam)
+    elif init is not None:
+        transfer_init(init, graph)
 
     history = History()
     best_fom = -1.0
@@ -344,6 +345,5 @@ def transfer_init(source: CheckpointPayload, graph: ModelGraph):
 
     Fine-tuning afterwards is ordinary training, no layers are frozen.
     """
-    validate_payload(graph, source, source="transfer source")
     apply_state(graph, source)
     return graph.params

@@ -18,6 +18,21 @@ def run_cli(*argv):
         return exc.code
 
 
+def only_error_line(capsys) -> str:
+    """Stderr, which must hold one ``error:`` line and nothing else."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.fixture()
+def blocker(tmp_path):
+    """An existing regular file, standing where an output directory goes."""
+    path = tmp_path / "blocker"
+    path.write_bytes(b"")
+    return path
+
+
 @pytest.fixture(scope="module")
 def dataset_tree(tmp_path_factory):
     root = tmp_path_factory.mktemp("data") / "rects"
@@ -135,6 +150,18 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", cfg,
                        "--out", tmp_path / "x.ckpt") == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, dataset_tree, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nseed = 9\n")
+        assert run_cli("train", "--data", dataset_tree, "--config", cfg,
+                       "--out", tmp_path / "x.ckpt") == 2
+        assert "not UTF-8" in only_error_line(capsys)
+
+    def test_out_under_a_file_exits_4(self, dataset_tree, config_file, blocker, capsys):
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--out", blocker / "model.ckpt") == 4
+        assert "cannot write" in only_error_line(capsys)
+
     def test_bad_gt_mapping_exits_2(self, tmp_path, dataset_tree, config_file):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config_file.read_text() + "gt_foreground = 999,255\ngt_exclude = 255\n")
@@ -196,6 +223,11 @@ class TestInfer:
     def test_unreadable_input_exits_3(self, tmp_path, trained_ckpt):
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        tmp_path / "nope.ppm", "--out", tmp_path / "o") == 3
+
+    def test_out_on_a_file_exits_3(self, trained_ckpt, dataset_tree, blocker, capsys):
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
+                       dataset_tree / "input" / "in000001.ppm", "--out", blocker) == 3
+        assert "cannot write" in only_error_line(capsys)
 
     def test_inputs_sharing_a_stem_exit_3_before_writing(self, tmp_path, trained_ckpt,
                                                          dataset_tree, capsys):
@@ -308,6 +340,16 @@ class TestBinarize:
         assert "in000002.f32: empty score map 0x5" in capsys.readouterr().err
         assert not (out / "in000002.pgm").exists()
 
+    def test_missing_scores_dir_exits_3(self, tmp_path, capsys):
+        assert run_cli("binarize", "--scores", tmp_path / "absent", "--method", "otsu",
+                       "--out", tmp_path / "m") == 3
+        assert "cannot read" in only_error_line(capsys)
+
+    def test_out_on_a_file_exits_3(self, score_dir, blocker, capsys):
+        assert run_cli("binarize", "--scores", score_dir, "--method", "global:0.5",
+                       "--out", blocker) == 3
+        assert "cannot write" in only_error_line(capsys)
+
     def test_bad_method_exits_2(self, tmp_path, score_dir):
         assert run_cli("binarize", "--scores", score_dir, "--method", "magic",
                        "--out", tmp_path / "m") == 2
@@ -344,6 +386,25 @@ class TestEval:
         self._write_masks(tmp_path / "gt", [gt], "gt")
         assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt") == 0
         assert "fom=0.6667" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("missing", ["pred", "gt"])
+    def test_missing_directory_exits_3(self, tmp_path, capsys, missing):
+        self._write_masks(tmp_path / "pred", [np.ones((6, 6), np.uint8)], "in")
+        self._write_masks(tmp_path / "gt", [np.ones((6, 6), np.uint8)], "gt")
+        dirs = {"pred": tmp_path / "pred", "gt": tmp_path / "gt", missing: tmp_path / "absent"}
+        assert run_cli("eval", "--pred", dirs["pred"], "--gt", dirs["gt"],
+                       "--report", tmp_path / "r.txt") == 3
+        assert "cannot read" in only_error_line(capsys)
+
+    def test_report_into_missing_directory_written(self, tmp_path, capsys):
+        masks = [np.ones((6, 6), np.uint8)]
+        self._write_masks(tmp_path / "pred", masks, "in")
+        self._write_masks(tmp_path / "gt", masks, "gt")
+        report = tmp_path / "absent" / "r.txt"
+        assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                       "--report", report) == 0
+        assert "fom=1.000000" in report.read_text()
+        assert capsys.readouterr().err == ""
 
     def test_length_mismatch_exits_3(self, tmp_path):
         r = np.random.default_rng(1)

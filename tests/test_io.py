@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvfcn
 from mvfcn import EngineRng, build_mvfcn
 from mvfcn.errors import CheckpointError, ConfigError, DataError
 from mvfcn.io import (
@@ -435,6 +436,47 @@ class TestScoremapSidecar:
         with pytest.raises(DataError, match=f"t.f32: cannot write an empty score map {h}x{w}"):
             save_scoremap(np.zeros((h, w), np.float32), tmp_path / "t.f32")
         assert not (tmp_path / "t.f32").exists()
+
+
+def _payload():
+    graph = build_mvfcn()
+    graph.initialize_parameters(EngineRng(0))
+    return snapshot_state(graph)
+
+
+# output file name -> (writer, the error class a write failure raises)
+WRITERS = {
+    "img.pgm": (lambda path: save_image(np.zeros((4, 4)), path), DataError),
+    "s.f32": (lambda path: save_scoremap(np.zeros((4, 4), np.float32), path), DataError),
+    "m.ckpt": (lambda path: save_checkpoint(path, _payload()), CheckpointError),
+}
+
+
+class TestWriteBoundary:
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_missing_parent_directories_created(self, tmp_path, name):
+        path = tmp_path / "a" / "b" / name
+        WRITERS[name][0](path)
+        assert path.is_file()
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_write_under_a_file_raises_its_class(self, tmp_path, name):
+        write, error = WRITERS[name]
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        with pytest.raises(error, match="cannot write"):
+            write(blocker / name)
+
+    def test_only_io_touches_the_file_system(self):
+        # every read and write goes through io, which maps file-system failures
+        # onto the documented error classes
+        call = re.compile(r"\b(read_bytes|read_text|write_bytes|write_text|mkdir)\b|\bopen\(")
+        package = Path(mvfcn.__file__).parent
+        offenders = [f"{module.name}:{lineno}"
+                     for module in sorted(package.glob("*.py")) if module.name != "io.py"
+                     for lineno, line in enumerate(module.read_text().splitlines(), start=1)
+                     if call.search(line)]
+        assert offenders == []
 
 
 # every accepted config key: (key, file value, owner field path, parsed value);

@@ -25,7 +25,7 @@ from mvfcn import (
     transfer_init,
 )
 from mvfcn.errors import CheckpointError, DataError, ShapeError
-from mvfcn.io import save_checkpoint
+from mvfcn.io import ROLE_ADAM_STEP, ROLE_RNG, save_checkpoint
 from mvfcn.synth import make_rectangles_dataset
 from mvfcn.train import apply_affine_pair, augment_pair, evaluate_split
 
@@ -342,3 +342,12 @@ class TestTransferInit:
         transfer_init(donor.last, graph)
         val, _ = evaluate_split(graph, dataset, split.test_indices, 4)
         assert val == donor_val
+
+    def test_transfer_run_keeps_its_own_rng_and_optimizer(self):
+        # a weights-only transfer: the donor's rng position and Adam step are not taken
+        dataset = _tiny_dataset()
+        donor = train_loop(dataset, _fast_cfg(seed=2))
+        fresh = train_loop(dataset, _fast_cfg(seed=99))
+        moved = train_loop(dataset, _fast_cfg(seed=99), init=donor.last)
+        for key in ((0, ROLE_RNG), (0, ROLE_ADAM_STEP)):
+            assert np.array_equal(moved.last.entries[key], fresh.last.entries[key])
