@@ -57,7 +57,6 @@ from .train import (
     lr_at,
     ordered_split,
     train_loop,
-    transfer_init,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EngineError
+from .errors import CheckpointError, ConfigError, DataError, EngineError
 from .graph import build_mvfcn, forward, summary
 from .io import (
     GtMapping,
@@ -24,6 +24,7 @@ from .io import (
     load_gt,
     load_image,
     load_scoremap,
+    make_parent,
     parse_config,
     save_checkpoint,
     save_image,
@@ -83,6 +84,7 @@ def load_samples(manifest, size, mapping: GtMapping, normalize: bool = True):
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
+    out = make_parent(args.out, CheckpointError)  # fail before any training
     manifest = discover_dataset(args.data)
     samples = load_samples(manifest, (cfg.input_height, cfg.input_width),
                            cfg.gt, cfg.normalize_inputs)
@@ -91,7 +93,6 @@ def cmd_train(args) -> int:
         # structural validation happens once train_loop owns the live graph
         init = load_checkpoint(args.init)
     result = train_loop(samples, cfg.train, init=init)
-    out = Path(args.out)
     save_checkpoint(out, result.best)
     history_path = out.with_name(out.name + ".history.txt")
     write_file(history_path, (result.history.as_table() + "\n").encode("utf-8"))
@@ -110,8 +111,7 @@ def cmd_infer(args) -> int:
         raise DataError(f"two inputs share the stem {shared[0]!r}; their outputs would collide")
     graph = build_mvfcn()
     graph.allocate_parameters()
-    payload = load_checkpoint(args.ckpt, graph)
-    apply_state(graph, payload)
+    apply_state(graph, load_checkpoint(args.ckpt))
     out_dir = Path(args.out)
     for item, stem in zip(args.inputs, stems):
         score, _ = forward(graph, _load_input(item, NETWORK_INPUT), mode=INFER)
@@ -142,24 +142,18 @@ def cmd_binarize(args) -> int:
     if args.min_area < 0:
         raise ConfigError("--min-area must be non-negative")
     scores_dir = Path(args.scores)
-    sidecars = _index_files(scores_dir, (".f32",))
-    maps = _index_files(scores_dir, (".pgm",))
-    indices = sorted(set(sidecars) | set(maps))
-    if not indices:
+    # the exact float sidecar of a frame wins over its 8-bit image
+    files = {**_index_files(scores_dir, (".pgm",)), **_index_files(scores_dir, (".f32",))}
+    if not files:
         raise DataError(f"{scores_dir} holds no score maps")
     out_dir = Path(args.out)
-    for idx in indices:
-        if idx in sidecars:  # exact float copy wins over the 8-bit image
-            score = load_scoremap(sidecars[idx])
-            stem = sidecars[idx].stem
-        else:
-            score = load_image(maps[idx])[0, 0]
-            stem = maps[idx].stem
+    for idx, path in sorted(files.items()):
+        score = load_scoremap(path) if path.suffix.lower() == ".f32" else load_image(path)[0, 0]
         frame_tau = tau if method == "global" else otsu_threshold(score).tau
         mask = threshold_global(score, frame_tau)
         if args.min_area > 0:
             mask = remove_small_regions(mask, args.min_area, args.connectivity)
-        save_image(mask, out_dir / f"{stem}.pgm")
+        save_image(mask, out_dir / f"{path.stem}.pgm")
         if method == "otsu":
             print(f"frame {idx}: tau={frame_tau:.6f}")
     return 0

@@ -25,11 +25,13 @@ and roles 8+r / 12+r carry the optimizer's first/second moments for the
 parameter with role r. The fingerprint hashes the architecture table, so a
 checkpoint only loads into a graph with the identical layer layout.
 
-``load_checkpoint`` checks the magic, version, checksum and entry framing.
-Against a graph (always in ``apply_state``), ``validate_payload`` checks the
-fingerprint, each tensor of the graph's state table present with its shape,
-any optimizer moment shaped like its parameter, the step and rng entry
-sizes, and every float tensor it checks for NaN and inf.
+``load_checkpoint`` checks the magic, version, checksum and entry framing,
+and records the file in the payload's ``source``. ``apply_state`` is the
+one way a payload enters a graph: before it copies anything,
+``validate_payload`` checks the fingerprint, each tensor of the graph's
+state table present with its shape, any optimizer moment shaped like its
+parameter, the step and rng entry sizes, and every float tensor it checks
+for NaN and inf.
 """
 
 import math
@@ -65,23 +67,25 @@ def checksum64(data: bytes) -> int:
     return lo | (hi << 32)
 
 
-def _read(path: Path, error, read=Path.read_bytes):
-    """``read(path)``, by default the file's bytes; a file-system failure
-    becomes ``error``."""
+def _file_op(path: Path, error, action=Path.read_bytes, verb="read"):
+    """``action(path)``, by default the file's bytes; a file-system failure
+    becomes ``error`` as "cannot <verb> <path>"."""
     try:
-        return read(path)
+        return action(path)
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot {verb} {path}: {exc}") from exc
+
+
+def make_parent(path, error=DataError) -> Path:
+    """Create ``path``'s parent directory unless it exists; return ``path``."""
+    path = Path(path)
+    _file_op(path, error, lambda p: p.parent.mkdir(parents=True, exist_ok=True), "write")
+    return path
 
 
 def write_file(path, data: bytes, error=DataError) -> None:
     """Write ``data`` to ``path``, creating its parent directory on demand."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-    except OSError as exc:
-        raise error(f"cannot write {path}: {exc}") from exc
+    _file_op(make_parent(path, error), error, lambda p: p.write_bytes(data), "write")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,7 @@ def write_file(path, data: bytes, error=DataError) -> None:
 # ---------------------------------------------------------------------------
 
 def _read_pnm(path: Path):
-    data = _read(path, DataError)
+    data = _file_op(path, DataError)
     if len(data) < 2 or data[:1] != b"P" or data[1:2] not in (b"5", b"6"):
         raise DataError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[1:2] == b"5" else 3
@@ -228,7 +232,6 @@ class FramePair:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    root: Path
     name: str
     frames: tuple[FramePair, ...]
     roi_path: Path | None = None
@@ -242,7 +245,7 @@ def _index_files(directory: Path, suffixes=(".pgm", ".ppm")) -> dict[int, Path]:
     """Map the last digit run of each file stem to its path, for files whose
     suffix is in ``suffixes``; two files with the same index are an error."""
     indexed = {}
-    for entry in _read(directory, DataError, lambda d: sorted(d.iterdir())):
+    for entry in _file_op(directory, DataError, lambda d: sorted(d.iterdir())):
         if entry.suffix.lower() not in suffixes:
             continue
         digits = re.findall(r"\d+", entry.stem)
@@ -255,15 +258,13 @@ def _index_files(directory: Path, suffixes=(".pgm", ".ppm")) -> dict[int, Path]:
     return indexed
 
 
-def discover_dataset(root, strict: bool = True) -> DatasetManifest:
+def discover_dataset(root) -> DatasetManifest:
     """Scan a `<root>/input` + `<root>/groundtruth` tree into an ordered,
     index-aligned manifest.
 
-    Strict mode rejects inputs without ground truth and gaps in the frame
-    numbering; lenient mode skips unmatched frames with a warning.
+    Every input frame needs its ground truth, and the frame numbering may
+    have no gaps.
     """
-    import logging
-
     root = Path(root)
     inputs = _index_files(root / "input")
     gts = _index_files(root / "groundtruth")
@@ -275,21 +276,14 @@ def discover_dataset(root, strict: bool = True) -> DatasetManifest:
     frames = []
     for idx in sorted(inputs):
         if idx not in gts:
-            if strict:
-                raise DataError(f"{root}: input frame {idx} has no ground truth")
-            logging.getLogger(__name__).warning(
-                "skipping frame %d of %s: no ground truth", idx, root)
-            continue
+            raise DataError(f"{root}: input frame {idx} has no ground truth")
         frames.append(FramePair(idx, inputs[idx], gts[idx]))
-    if not frames:
-        raise DataError(f"{root}: no aligned input/ground-truth pairs")
-    if strict:
-        indices = [f.index for f in frames]
-        gaps = [b for a, b in zip(indices, indices[1:]) if b != a + 1]
-        if gaps:
-            raise DataError(f"{root}: frame numbering has gaps before {gaps}")
+    indices = [f.index for f in frames]
+    gaps = [b for a, b in zip(indices, indices[1:]) if b != a + 1]
+    if gaps:
+        raise DataError(f"{root}: frame numbering has gaps before {gaps}")
     roi = root / "ROI.pgm"
-    return DatasetManifest(root=root, name=root.name, frames=tuple(frames),
+    return DatasetManifest(name=root.name, frames=tuple(frames),
                            roi_path=roi if roi.is_file() else None)
 
 
@@ -300,10 +294,11 @@ def discover_dataset(root, strict: bool = True) -> DatasetManifest:
 @dataclass
 class CheckpointPayload:
     """In-memory checkpoint: architecture fingerprint plus one array per
-    (layer_id, role) entry."""
+    (layer_id, role) entry; ``source`` is the file that errors name."""
 
     fingerprint: int
     entries: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    source: str = field(default="checkpoint", compare=False)
 
 
 def _state_table(graph) -> dict[tuple[int, int], tuple[str, np.ndarray]]:
@@ -356,13 +351,13 @@ def save_checkpoint(path, payload: CheckpointPayload) -> None:
 
 
 def load_checkpoint(path, graph=None) -> CheckpointPayload:
-    """Parse and validate a checkpoint file.
+    """Parse a checkpoint file into a payload whose ``source`` is ``path``.
 
     When ``graph`` is given, the payload is also checked against it by
     ``validate_payload`` before anything is returned.
     """
     path = Path(path)
-    data = _read(path, CheckpointError)
+    data = _file_op(path, CheckpointError)
     if len(data) < len(MAGIC) + 4 + 8 + 4 + 8:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
     if data[:4] != MAGIC:
@@ -373,7 +368,7 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
     if version != VERSION:
         raise CheckpointError(f"{path}: unknown format version {version}")
     (count,) = struct.unpack_from("<I", data, 16)
-    payload = CheckpointPayload(fingerprint=fingerprint)
+    payload = CheckpointPayload(fingerprint=fingerprint, source=str(path))
     offset = 20
     end = len(data) - 8
     for _ in range(count):
@@ -395,13 +390,14 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
     if offset != end:
         raise CheckpointError(f"{path}: {end - offset} stray bytes after entries")
     if graph is not None:
-        validate_payload(graph, payload, source=str(path))
+        validate_payload(graph, payload)
     return payload
 
 
-def validate_payload(graph, payload: CheckpointPayload, source="checkpoint"):
+def validate_payload(graph, payload: CheckpointPayload):
     """Refuse anything but an exact match to ``graph`` (see the module
-    docstring for the list of checks), naming the layer and tensor at fault."""
+    docstring for the list of checks), naming the file, layer and tensor."""
+    source = payload.source
     if payload.fingerprint != graph.fingerprint():
         raise CheckpointError(
             f"{source}: architecture fingerprint {payload.fingerprint:#018x} does "
@@ -432,8 +428,8 @@ def validate_payload(graph, payload: CheckpointPayload, source="checkpoint"):
 
 
 def apply_state(graph, payload: CheckpointPayload, rng=None, adam=None) -> None:
-    """Copy a validated payload into the graph (and optionally restore the
-    rng position and optimizer moments)."""
+    """Validate a payload against the graph, then copy it in (and optionally
+    restore the rng position and optimizer moments)."""
     validate_payload(graph, payload)
     table = _state_table(graph)
     for (lid, role), (_, arr) in table.items():
@@ -474,7 +470,7 @@ def save_scoremap(score, path) -> None:
 
 def load_scoremap(path):
     path = Path(path)
-    data = _read(path, DataError)
+    data = _file_op(path, DataError)
     if data[:4] != SCORE_MAGIC or len(data) < 12:
         raise DataError(f"{path}: not a score-map sidecar")
     h, w = struct.unpack_from("<II", data, 4)
@@ -596,7 +592,7 @@ def parse_config(path) -> RunConfig:
     """
     path = Path(path)
     try:
-        text = _read(path, ConfigError).decode("utf-8")
+        text = _file_op(path, ConfigError).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     values = defaultdict(dict)  # owner class -> {field name: parsed value}

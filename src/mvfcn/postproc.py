@@ -22,7 +22,6 @@ def threshold_global(score, tau: float):
 class OtsuResult:
     tau: float                 # chosen threshold, a bin edge in [0, 1]
     sigma_w2: float            # weighted within-class variance at tau
-    histogram: np.ndarray      # 256-bin count histogram
 
 
 def otsu_threshold(score) -> OtsuResult:
@@ -59,7 +58,6 @@ def otsu_threshold(score) -> OtsuResult:
     return OtsuResult(
         tau=(best + 1) / HISTOGRAM_BINS,
         sigma_w2=float(max(sigma_w2[best], 0.0)),
-        histogram=hist,
     )
 
 

@@ -1,6 +1,6 @@
 """Training: binary cross-entropy loss, Adam, step-decay learning rate,
-paired geometric augmentation, the ordered train/test split, the epoch
-loop, and transfer-learning initialization.
+paired geometric augmentation, the ordered train/test split, and the epoch
+loop, which can start from a donor checkpoint (transfer) or resume a run.
 
 The loss consumes pre-sigmoid logits fused with the sigmoid for numerical
 stability; its value equals the plain cross-entropy of the post-sigmoid
@@ -143,8 +143,14 @@ def apply_affine_pair(image, gt, angle_deg: float, shift_y: float,
     return out_img, out_gt
 
 
-def _sample_bilinear(image, yi, xi):
+def _gather(image, y, x):
+    """``image`` at integer pixel coordinates, zero outside the frame."""
     h, w = image.shape[-2:]
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    return image[..., np.clip(y, 0, h - 1), np.clip(x, 0, w - 1)] * inside
+
+
+def _sample_bilinear(image, yi, xi):
     y0 = np.floor(yi).astype(np.int64)
     x0 = np.floor(xi).astype(np.int64)
     fy = yi - y0
@@ -152,24 +158,13 @@ def _sample_bilinear(image, yi, xi):
     out = np.zeros(image.shape[:-2] + yi.shape, dtype=image.dtype)
     for dy in (0, 1):
         for dx in (0, 1):
-            yy = y0 + dy
-            xx = x0 + dx
             weight = (fy if dy else 1.0 - fy) * (fx if dx else 1.0 - fx)
-            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            yc = np.clip(yy, 0, h - 1)
-            xc = np.clip(xx, 0, w - 1)
-            out += (image[..., yc, xc] * (weight * inside)).astype(out.dtype, copy=False)
+            out += (_gather(image, y0 + dy, x0 + dx) * weight).astype(out.dtype, copy=False)
     return out
 
 
 def _sample_nearest(image, yi, xi):
-    h, w = image.shape[-2:]
-    yn = np.rint(yi).astype(np.int64)
-    xn = np.rint(xi).astype(np.int64)
-    inside = (yn >= 0) & (yn < h) & (xn >= 0) & (xn < w)
-    yc = np.clip(yn, 0, h - 1)
-    xc = np.clip(xn, 0, w - 1)
-    return image[..., yc, xc] * inside
+    return _gather(image, np.rint(yi).astype(np.int64), np.rint(xi).astype(np.int64))
 
 
 def augment_pair(image, gt, cfg: AugmentConfig, rng: EngineRng):
@@ -277,11 +272,12 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
     """Mini-batch Adam training over the ordered split of one sequence.
 
     ``init`` may be a checkpoint payload. At ``start_epoch`` 0 it is a
-    weights-only transfer (``transfer_init``), so the run keeps its seed's
-    rng stream and a fresh optimizer. Later it is a resume that also
-    restores the rng position and optimizer moments when present, which
-    continues an interrupted run bit-exactly. Returns the best-validation-FoM
-    checkpoint, the final resumable state, and the per-epoch history.
+    weights-only transfer of every parameter and batch-norm statistic (no
+    layer is frozen), so the run keeps its seed's rng stream and a fresh
+    optimizer. Later it is a resume that also restores the rng position and
+    optimizer moments when present, which continues an interrupted run
+    bit-exactly. Returns the best-validation-FoM checkpoint, the final
+    resumable state, and the per-epoch history.
     """
     dataset = list(dataset)
     if not dataset:
@@ -301,7 +297,7 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
     if init is not None and start_epoch > 0:
         apply_state(graph, init, rng=rng, adam=adam)
     elif init is not None:
-        transfer_init(init, graph)
+        apply_state(graph, init)
 
     history = History()
     best_fom = -1.0
@@ -337,13 +333,3 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
             best = snapshot_state(graph, rng)
     last = snapshot_state(graph, rng, adam)
     return TrainResult(best=best, last=last, history=history, graph=graph)
-
-
-def transfer_init(source: CheckpointPayload, graph: ModelGraph):
-    """Copy every parameter and batch-norm statistic from a donor checkpoint
-    into an architecturally identical graph; any mismatch refuses the load.
-
-    Fine-tuning afterwards is ordinary training, no layers are frozen.
-    """
-    apply_state(graph, source)
-    return graph.params

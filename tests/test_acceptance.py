@@ -36,11 +36,10 @@ from mvfcn import (
     summary,
     threshold_global,
     train_loop,
-    transfer_init,
     transpose_alpha,
     transpose_output_size,
 )
-from mvfcn.io import save_checkpoint
+from mvfcn.io import apply_state, save_checkpoint
 from mvfcn.metrics import confusion, fom, fom_soft, ConfusionCounts
 from mvfcn.postproc import HISTOGRAM_BINS
 from mvfcn.synth import make_rectangles_dataset
@@ -346,7 +345,7 @@ def test_criterion_10_transfer_continuity():
     # identical graph loads give bit-identical forward outputs
     clone = build_mvfcn()
     clone.initialize_parameters(EngineRng(999))
-    transfer_init(donor.last, clone)
+    apply_state(clone, donor.last)
     x = np.stack([s.image for s in seq_b[:2]]).astype(np.float32)
     out_donor, _ = forward(donor.graph, x, mode="infer")
     out_clone, _ = forward(clone, x, mode="infer")

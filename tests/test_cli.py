@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import mvfcn.cli
+import mvfcn.io
+from mvfcn import EngineRng, build_mvfcn
 from mvfcn.cli import load_samples, main
 from mvfcn.io import (GtMapping, discover_dataset, load_checkpoint, load_image,
-                      save_checkpoint, save_image)
+                      save_checkpoint, save_image, snapshot_state)
 from mvfcn.synth import make_rectangles_dataset, write_dataset_tree
 
 TOTAL_LINE = "Total trainable parameters: 494337"
@@ -54,6 +57,17 @@ def config_file(tmp_path_factory):
         "bn_momentum = 0.9\n"
         "augment = false\n"
     )
+    return path
+
+
+@pytest.fixture(scope="module")
+def other_rate_ckpt(tmp_path_factory):
+    """A checkpoint of the network built with dropout rate 0.5, whose
+    fingerprint differs from the default graph's."""
+    graph = build_mvfcn(dropout_rate=0.5)
+    graph.initialize_parameters(EngineRng(0))
+    path = tmp_path_factory.mktemp("donor") / "rate05.ckpt"
+    save_checkpoint(path, snapshot_state(graph))
     return path
 
 
@@ -122,6 +136,13 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", config_file,
                        "--init", bogus, "--out", tmp_path / "x.ckpt") == 4
 
+    def test_mismatched_donor_named_in_error(self, tmp_path, dataset_tree, config_file,
+                                             other_rate_ckpt, capsys):
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--init", other_rate_ckpt, "--out", tmp_path / "x.ckpt") == 4
+        err = only_error_line(capsys)
+        assert err.startswith(f"error: {other_rate_ckpt}: architecture fingerprint"), err
+
     def test_misshaped_adam_moment_init_exits_4(self, tmp_path, dataset_tree, config_file,
                                                 trained_ckpt, capsys):
         payload = load_checkpoint(trained_ckpt)
@@ -157,7 +178,14 @@ class TestTrain:
                        "--out", tmp_path / "x.ckpt") == 2
         assert "not UTF-8" in only_error_line(capsys)
 
-    def test_out_under_a_file_exits_4(self, dataset_tree, config_file, blocker, capsys):
+    def test_out_under_a_file_exits_4(self, dataset_tree, config_file, blocker, capsys,
+                                      monkeypatch):
+        # an unwritable --out is refused before a frame is read or an epoch runs
+        def never(*args, **kwargs):
+            raise AssertionError("train read or trained before checking --out")
+
+        monkeypatch.setattr(mvfcn.cli, "load_samples", never)
+        monkeypatch.setattr(mvfcn.cli, "train_loop", never)
         assert run_cli("train", "--data", dataset_tree, "--config", config_file,
                        "--out", blocker / "model.ckpt") == 4
         assert "cannot write" in only_error_line(capsys)
@@ -209,6 +237,28 @@ class TestInfer:
         for name in ("in000003.pgm", "in000003.f32"):
             a, b = (tmp_path / side / name for side in "ab")
             assert a.read_bytes() == b.read_bytes()
+
+    def test_validates_the_checkpoint_once(self, tmp_path, monkeypatch, trained_ckpt,
+                                           dataset_tree):
+        validate = mvfcn.io.validate_payload
+        sources = []
+
+        def counted(graph, payload, **kwargs):
+            sources.append(payload.source)
+            return validate(graph, payload, **kwargs)
+
+        monkeypatch.setattr(mvfcn.io, "validate_payload", counted)
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
+                       dataset_tree / "input" / "in000001.ppm", "--out", tmp_path / "o") == 0
+        assert sources == [str(trained_ckpt)]
+
+    def test_other_dropout_rate_exits_4_naming_the_file(self, tmp_path, other_rate_ckpt,
+                                                        dataset_tree, capsys):
+        # infer builds the default graph (rate 0.3), whose fingerprint differs
+        assert run_cli("infer", "--ckpt", other_rate_ckpt, "--in",
+                       dataset_tree / "input" / "in000001.ppm", "--out", tmp_path / "o") == 4
+        err = only_error_line(capsys)
+        assert err.startswith(f"error: {other_rate_ckpt}: architecture fingerprint"), err
 
     def test_resizes_any_input(self, tmp_path, trained_ckpt):
         from mvfcn.io import save_image

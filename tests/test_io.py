@@ -18,6 +18,7 @@ from mvfcn.io import (
     MAGIC,
     VERSION,
     AugmentConfig,
+    CheckpointPayload,
     GtMapping,
     RunConfig,
     TrainConfig,
@@ -28,6 +29,7 @@ from mvfcn.io import (
     load_gt,
     load_image,
     load_scoremap,
+    make_parent,
     parse_config,
     save_checkpoint,
     save_image,
@@ -178,18 +180,12 @@ class TestDiscovery:
     def test_missing_gt_strict(self, tmp_path):
         root = self._tree(tmp_path, range(1, 11), gt_indices=[i for i in range(1, 11) if i != 7])
         with pytest.raises(DataError, match="no ground truth"):
-            discover_dataset(root, strict=True)
-
-    def test_missing_gt_lenient_skips(self, tmp_path):
-        root = self._tree(tmp_path, range(1, 11), gt_indices=[i for i in range(1, 11) if i != 7])
-        manifest = discover_dataset(root, strict=False)
-        assert manifest.n == 9
-        assert 7 not in [f.index for f in manifest.frames]
+            discover_dataset(root)
 
     def test_gap_in_numbering_strict(self, tmp_path):
         root = self._tree(tmp_path, [1, 2, 4])
         with pytest.raises(DataError, match="gaps"):
-            discover_dataset(root, strict=True)
+            discover_dataset(root)
 
     def test_empty_directory_rejected(self, tmp_path):
         root = tmp_path / "seq"
@@ -318,6 +314,19 @@ class TestCheckpoint:
         widened.initialize_parameters(EngineRng(0))
         with pytest.raises(CheckpointError, match="fingerprint"):
             load_checkpoint(path, widened)
+
+    def test_loaded_payload_names_its_file(self, tmp_path):
+        from conftest import tiny_graph
+        path = tmp_path / "named.ckpt"
+        payload = snapshot_state(_fresh_graph(), EngineRng(0))
+        save_checkpoint(path, payload)
+        loaded = load_checkpoint(path)
+        assert loaded.source == str(path)
+        assert loaded == CheckpointPayload(loaded.fingerprint, loaded.entries)  # source is not compared
+        other = tiny_graph()
+        other.initialize_parameters(EngineRng(0))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: architecture"):
+            apply_state(other, loaded)
 
     def test_reshaped_tensor_names_layer(self):
         graph = _fresh_graph()
@@ -466,6 +475,18 @@ class TestWriteBoundary:
         blocker.write_bytes(b"")
         with pytest.raises(error, match="cannot write"):
             write(blocker / name)
+
+    def test_make_parent_creates_the_directory_only(self, tmp_path):
+        path = tmp_path / "a" / "b" / "m.ckpt"
+        assert make_parent(path) == path
+        assert path.parent.is_dir() and not path.exists()
+
+    @pytest.mark.parametrize("error", [DataError, CheckpointError])
+    def test_make_parent_under_a_file_raises_its_class(self, tmp_path, error):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        with pytest.raises(error, match="cannot write"):
+            make_parent(blocker / "m.ckpt", error)
 
     def test_only_io_touches_the_file_system(self):
         # every read and write goes through io, which maps file-system failures

@@ -22,10 +22,9 @@ from mvfcn import (
     lr_at,
     ordered_split,
     train_loop,
-    transfer_init,
 )
 from mvfcn.errors import CheckpointError, DataError, ShapeError
-from mvfcn.io import ROLE_ADAM_STEP, ROLE_RNG, save_checkpoint
+from mvfcn.io import ROLE_ADAM_STEP, ROLE_RNG, apply_state, save_checkpoint
 from mvfcn.synth import make_rectangles_dataset
 from mvfcn.train import apply_affine_pair, augment_pair, evaluate_split
 
@@ -315,7 +314,7 @@ class TestTransferInit:
         donor = train_loop(_tiny_dataset(), _fast_cfg(max_epochs=1))
         graph = build_mvfcn()
         graph.initialize_parameters(EngineRng(77))
-        transfer_init(donor.best, graph)
+        apply_state(graph, donor.best)
         x = np.stack([s.image for s in _tiny_dataset(2)]).astype(np.float32)
         ours, _ = forward(graph, x, mode="infer")
         theirs, _ = forward(donor.graph, x, mode="infer")
@@ -328,7 +327,7 @@ class TestTransferInit:
         graph = build_mvfcn()
         graph.initialize_parameters(EngineRng(0))
         with pytest.raises(CheckpointError, match="layer 17"):
-            transfer_init(payload, graph)
+            apply_state(graph, payload)
 
     def test_finetune_starts_at_donor_val_loss(self):
         dataset = _tiny_dataset(seed=3)
@@ -339,7 +338,7 @@ class TestTransferInit:
 
         graph = build_mvfcn()
         graph.initialize_parameters(EngineRng(123))
-        transfer_init(donor.last, graph)
+        apply_state(graph, donor.last)
         val, _ = evaluate_split(graph, dataset, split.test_indices, 4)
         assert val == donor_val
 
