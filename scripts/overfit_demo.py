@@ -10,7 +10,7 @@ everywhere.
 import argparse
 import time
 
-from mvfcn import AugmentConfig, TrainConfig, train_loop
+from mvfcn import TrainConfig, train_loop
 from mvfcn.synth import make_rectangles_dataset
 
 
@@ -30,7 +30,7 @@ def main():
         seed=args.seed,
         lr_decay_every=0,
         bn_momentum=0.9,
-        augment=AugmentConfig(enabled=not args.no_augment),
+        augment=not args.no_augment,
     )
     start = time.time()
     result = train_loop(dataset, cfg)

@@ -46,7 +46,6 @@ from .tensor import (
 )
 from .train import (
     AdamState,
-    AugmentConfig,
     Sample,
     SplitSpec,
     TrainConfig,

@@ -10,8 +10,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CheckpointError, ConfigError, DataError, EngineError
 from .graph import build_mvfcn, forward, summary
 from .io import (
@@ -52,11 +50,9 @@ def cmd_summary(args) -> int:
     return 0
 
 
-def _load_input(path, size, normalize: bool = True):
-    """One frame as a float32 (1, 3, *size) network input in [0, 1] ([0, 255]
-    without ``normalize``)."""
-    image = resize_nearest(ensure_rgb(load_image(path)), *size).astype(np.float32)
-    return image if normalize else image * 255.0
+def _load_input(path, size):
+    """One frame as a float32 (1, 3, *size) network input in [0, 1]."""
+    return resize_nearest(ensure_rgb(load_image(path)), *size)
 
 
 def _load_truth(path, size, mapping: GtMapping, roi_global):
@@ -69,14 +65,14 @@ def _load_truth(path, size, mapping: GtMapping, roi_global):
     return gt, roi
 
 
-def load_samples(manifest, size, mapping: GtMapping, normalize: bool = True):
+def load_samples(manifest, size, mapping: GtMapping):
     """Load every annotated frame, resized to the network input size."""
     roi_global = None
     if manifest.roi_path is not None:
         roi_global = load_image(manifest.roi_path)[0, 0] >= 0.5
     samples = []
     for frame in manifest.frames:
-        image = _load_input(frame.image_path, size, normalize)[0]
+        image = _load_input(frame.image_path, size)[0]
         gt, roi = _load_truth(frame.gt_path, size, mapping, roi_global)
         samples.append(Sample(image=image, gt=gt, roi=roi))
     return samples
@@ -86,13 +82,12 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     out = make_parent(args.out, CheckpointError)  # fail before any training
     manifest = discover_dataset(args.data)
-    samples = load_samples(manifest, (cfg.input_height, cfg.input_width),
-                           cfg.gt, cfg.normalize_inputs)
+    samples = load_samples(manifest, (cfg.input_height, cfg.input_width), cfg.gt)
     init = None
     if args.init is not None:
         # structural validation happens once train_loop owns the live graph
         init = load_checkpoint(args.init)
-    result = train_loop(samples, cfg.train, init=init)
+    result = train_loop(samples, cfg, init=init)
     save_checkpoint(out, result.best)
     history_path = out.with_name(out.name + ".history.txt")
     write_file(history_path, (result.history.as_table() + "\n").encode("utf-8"))
@@ -109,10 +104,11 @@ def cmd_infer(args) -> int:
     shared = sorted({stem for stem in stems if stems.count(stem) > 1})
     if shared:  # each input's outputs are named by its stem alone
         raise DataError(f"two inputs share the stem {shared[0]!r}; their outputs would collide")
+    out_dir = Path(args.out)
+    make_parent(out_dir / f"{stems[0]}.pgm")  # fail before the load and the first forward
     graph = build_mvfcn()
     graph.allocate_parameters()
     apply_state(graph, load_checkpoint(args.ckpt))
-    out_dir = Path(args.out)
     for item, stem in zip(args.inputs, stems):
         score, _ = forward(graph, _load_input(item, NETWORK_INPUT), mode=INFER)
         score2d = score[0, 0]

@@ -4,12 +4,12 @@ discovery, the binary checkpoint format, and key=value config parsing.
 This module does all of the package's file reads and writes: a file-system
 failure becomes the reader's or writer's error class.
 
-The config section holds the whole config-file schema. Each key is one typed
-field of ``RunConfig`` (input preprocessing), ``TrainConfig`` (training,
-imported by ``train``), its nested ``AugmentConfig``, or ``GtMapping`` (the
-``gt_*`` keys); that field carries the key's one default, and its class's
-``__post_init__`` its one range check, for files and direct construction
-alike. ``parse_config`` derives its key table from those fields.
+The config section holds the whole config-file schema: ``parse_config``
+returns one flat ``TrainConfig`` (imported by ``train``). Each key is the
+name of one of its typed fields or, for a ``gt_*`` key, ``gt_`` + the name
+of a field of its nested ``GtMapping``. That field carries the key's one
+default, and its class's ``__post_init__`` its one range check, for files
+and direct construction alike; the key table is derived from those fields.
 
 Checkpoint layout (all little-endian):
 
@@ -490,24 +490,13 @@ def load_scoremap(path):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AugmentConfig:
-    """Random affine jitter applied identically to a frame and its mask."""
-
-    max_rotation_deg: float = 10.0
-    shift_fraction: float = 0.1
-    zoom_fraction: float = 0.1
-    enabled: bool = field(default=True, metadata={"key": "augment"})
-
-    def __post_init__(self):
-        _require(0 <= self.max_rotation_deg < 180, "max_rotation_deg must be in [0, 180)")
-        _require(0 <= self.shift_fraction < 1, "shift_fraction must be in [0, 1)")
-        _require(0 <= self.zoom_fraction < 1, "zoom_fraction must be in [0, 1)")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Settings of one per-sequence training run."""
+    """A parsed config file: the settings of one per-sequence training run,
+    including the network input size, the random affine jitter applied
+    identically to a frame and its mask, and the ground-truth label mapping."""
 
+    input_height: int = 240
+    input_width: int = 320
     base_lr: float = 2e-4
     lr_decay_factor: float = 0.8
     lr_decay_every: int = 5          # 0 disables the schedule
@@ -515,14 +504,21 @@ class TrainConfig:
     max_epochs: int = 30
     dropout_rate: float = 0.3
     seed: int = 7
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
+    augment: bool = True
+    max_rotation_deg: float = 10.0
+    shift_fraction: float = 0.1
+    zoom_fraction: float = 0.1
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     bn_momentum: float = 0.99
     split_ratio: float = 0.7
+    gt: GtMapping = field(default_factory=GtMapping)
 
     def __post_init__(self):
+        h, w = self.input_height, self.input_width
+        _require(h > 0 and w > 0, "input size must be positive")
+        _require(h % 16 == 0 and w % 16 == 0, f"input size {h}x{w} must be divisible by 16")
         _require(self.seed >= 0, "seed must be non-negative")
         _require(0 < self.base_lr < math.inf, "base_lr must be positive and finite")
         _require(0 < self.lr_decay_factor < 1, "lr_decay_factor must be in (0, 1)")
@@ -530,28 +526,14 @@ class TrainConfig:
         _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(self.max_epochs >= 1, "max_epochs must be >= 1")
         _require(0 <= self.dropout_rate < 1, "dropout_rate must be in [0, 1)")
+        _require(0 <= self.max_rotation_deg < 180, "max_rotation_deg must be in [0, 180)")
+        _require(0 <= self.shift_fraction < 1, "shift_fraction must be in [0, 1)")
+        _require(0 <= self.zoom_fraction < 1, "zoom_fraction must be in [0, 1)")
         _require(0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1,
                  "adam betas must be in (0, 1)")
         _require(0 < self.adam_eps < math.inf, "adam_eps must be positive and finite")
         _require(0 < self.bn_momentum < 1, "bn_momentum must be in (0, 1)")
         _require(0 < self.split_ratio < 1, "split_ratio must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed config file: the input preprocessing, plus the training
-    settings and the ground-truth label mapping it carries."""
-
-    input_height: int = 240
-    input_width: int = 320
-    normalize_inputs: bool = True
-    train: TrainConfig = field(default_factory=TrainConfig)
-    gt: GtMapping = field(default_factory=GtMapping)
-
-    def __post_init__(self):
-        h, w = self.input_height, self.input_width
-        _require(h > 0 and w > 0, "input size must be positive")
-        _require(h % 16 == 0 and w % 16 == 0, f"input size {h}x{w} must be divisible by 16")
 
 
 def _parse_bool(value: str) -> bool:
@@ -569,23 +551,22 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
 
 
 def _config_keys() -> dict:
-    """File key -> (owner class, field name, parser) for every typed field of
-    the four owners. A key is its field's name, ``gt_`` + the name for the
-    label mapping, or the ``key`` in the field's metadata."""
+    """File key -> (owner class, field name, parser) for every typed field:
+    a ``TrainConfig`` field's key is its name, a ``GtMapping`` field's is
+    ``gt_`` + its name."""
     parsers = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_int_list}
     table = {}
-    for owner, prefix in ((RunConfig, ""), (TrainConfig, ""), (AugmentConfig, ""),
-                          (GtMapping, "gt_")):
+    for owner, prefix in ((TrainConfig, ""), (GtMapping, "gt_")):
         for f in fields(owner):
             if f.type in parsers:
-                table[f.metadata.get("key", prefix + f.name)] = (owner, f.name, parsers[f.type])
+                table[prefix + f.name] = (owner, f.name, parsers[f.type])
     return table
 
 
 _CONFIG_KEYS = _config_keys()
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path) -> TrainConfig:
     """Parse a UTF-8 `key = value` file; `#` starts a full-line comment.
 
     Unknown keys and out-of-range values are rejected.
@@ -613,5 +594,4 @@ def parse_config(path) -> RunConfig:
             values[owner][name] = parse(value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    train = TrainConfig(augment=AugmentConfig(**values[AugmentConfig]), **values[TrainConfig])
-    return RunConfig(train=train, gt=GtMapping(**values[GtMapping]), **values[RunConfig])
+    return TrainConfig(gt=GtMapping(**values[GtMapping]), **values[TrainConfig])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .graph import ModelGraph, backward, build_mvfcn, forward
-from .io import AugmentConfig, CheckpointPayload, TrainConfig, apply_state, snapshot_state
+from .io import CheckpointPayload, TrainConfig, apply_state, snapshot_state
 from .metrics import ConfusionCounts, confusion, fom
 from .postproc import otsu_threshold, threshold_global
 from .rng import EngineRng
@@ -167,13 +167,13 @@ def _sample_nearest(image, yi, xi):
     return _gather(image, np.rint(yi).astype(np.int64), np.rint(xi).astype(np.int64))
 
 
-def augment_pair(image, gt, cfg: AugmentConfig, rng: EngineRng):
+def augment_pair(image, gt, cfg: TrainConfig, rng: EngineRng):
     """Draw one random affine transform and apply it to the pair.
 
     Draw order: rotation, vertical shift, horizontal shift, zoom.
     Disabled augmentation is an identity and consumes no rng draws.
     """
-    if not cfg.enabled:
+    if not cfg.augment:
         return image, gt
     h, w = gt.shape[-2:]
     angle = float(rng.uniform(-cfg.max_rotation_deg, cfg.max_rotation_deg))
@@ -311,8 +311,7 @@ def train_loop(dataset, cfg: TrainConfig, init: CheckpointPayload | None = None,
             images = []
             masks = []
             for i in batch:
-                img, gt = augment_pair(dataset[i].image, dataset[i].gt,
-                                       cfg.augment, rng)
+                img, gt = augment_pair(dataset[i].image, dataset[i].gt, cfg, rng)
                 images.append(img)
                 masks.append(gt)
             x = np.stack(images).astype(np.float32)

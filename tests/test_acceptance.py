@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mvfcn import (
-    AugmentConfig,
     ConvSpec,
     EngineRng,
     TrainConfig,
@@ -284,7 +283,7 @@ def _seeded(graph, seed):
 
 
 OVERFIT_CFG = dict(base_lr=1e-3, batch_size=4, seed=3, lr_decay_every=0,
-                   bn_momentum=0.9, augment=AugmentConfig(enabled=True))
+                   bn_momentum=0.9, augment=True)
 
 
 def test_criterion_8_overfit_capability():
@@ -313,7 +312,7 @@ def test_criterion_8_overfit_capability():
 def test_criterion_9_determinism_and_resume(tmp_path):
     dataset = make_rectangles_dataset(6, (32, 32), seed=21)
     cfg = dict(base_lr=1e-3, batch_size=4, seed=13, lr_decay_every=0,
-               bn_momentum=0.9, augment=AugmentConfig(enabled=True))
+               bn_momentum=0.9, augment=True)
 
     run_a = train_loop(dataset, TrainConfig(max_epochs=4, **cfg))
     run_b = train_loop(dataset, TrainConfig(max_epochs=4, **cfg))
@@ -339,7 +338,7 @@ def test_criterion_10_transfer_continuity():
     seq_a = make_rectangles_dataset(6, (32, 32), seed=31)
     seq_b = make_rectangles_dataset(6, (32, 32), seed=32)
     cfg = dict(base_lr=1e-3, batch_size=4, lr_decay_every=0, bn_momentum=0.9,
-               augment=AugmentConfig(enabled=False))
+               augment=False)
     donor = train_loop(seq_a, TrainConfig(max_epochs=2, seed=1, **cfg))
 
     # identical graph loads give bit-identical forward outputs

@@ -274,7 +274,23 @@ class TestInfer:
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        tmp_path / "nope.ppm", "--out", tmp_path / "o") == 3
 
-    def test_out_on_a_file_exits_3(self, trained_ckpt, dataset_tree, blocker, capsys):
+    def test_grayscale_frame_scores_as_three_equal_planes(self, tmp_path, trained_ckpt):
+        from mvfcn.io import save_image
+        gray = np.random.default_rng(5).uniform(size=(24, 32))
+        save_image(gray, tmp_path / "gray.pgm")                # P5, one channel
+        save_image(np.stack([gray] * 3), tmp_path / "rgb.ppm")  # P6
+        out_dir = tmp_path / "out"
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", tmp_path / "gray.pgm",
+                       tmp_path / "rgb.ppm", "--out", out_dir, "--save-scores") == 0
+        assert (out_dir / "gray.f32").read_bytes() == (out_dir / "rgb.f32").read_bytes()
+
+    def test_out_on_a_file_exits_3(self, trained_ckpt, dataset_tree, blocker, capsys,
+                                   monkeypatch):
+        # an unwritable --out is refused before the checkpoint is read
+        def never(*args, **kwargs):
+            raise AssertionError("infer loaded the checkpoint before checking --out")
+
+        monkeypatch.setattr(mvfcn.cli, "load_checkpoint", never)
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        dataset_tree / "input" / "in000001.ppm", "--out", blocker) == 3
         assert "cannot write" in only_error_line(capsys)
@@ -400,10 +416,25 @@ class TestBinarize:
                        "--out", blocker) == 3
         assert "cannot write" in only_error_line(capsys)
 
+    def test_no_score_maps_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run_cli("binarize", "--scores", empty, "--method", "otsu",
+                       "--out", tmp_path / "m") == 3
+        assert "holds no score maps" in only_error_line(capsys)
+
+    def test_negative_min_area_exits_2(self, tmp_path, score_dir, capsys):
+        assert run_cli("binarize", "--scores", score_dir, "--method", "otsu",
+                       "--min-area", "-1", "--out", tmp_path / "m") == 2
+        assert "--min-area must be non-negative" in only_error_line(capsys)
+
     def test_bad_method_exits_2(self, tmp_path, score_dir):
         assert run_cli("binarize", "--scores", score_dir, "--method", "magic",
                        "--out", tmp_path / "m") == 2
         assert run_cli("binarize", "--scores", score_dir, "--method", "global:1.5",
+                       "--out", tmp_path / "m") == 2
+        # matches the method pattern, but float() refuses it
+        assert run_cli("binarize", "--scores", score_dir, "--method", "global:1e",
                        "--out", tmp_path / "m") == 2
 
 

@@ -17,10 +17,8 @@ from mvfcn.io import (
     _CONFIG_KEYS,
     MAGIC,
     VERSION,
-    AugmentConfig,
     CheckpointPayload,
     GtMapping,
-    RunConfig,
     TrainConfig,
     apply_state,
     checksum64,
@@ -287,6 +285,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated entry payload"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version, count, entries, message", [
+        (VERSION + 1, 0, b"", f"unknown format version {VERSION + 1}"),
+        (VERSION, 1, b"", "truncated entry table"),
+        (VERSION, 1, struct.pack("<HBB2I", 30, 0, 3, 2, 2), "truncated entry dims"),
+        (VERSION, 0, b"\0\0\0", "3 stray bytes after entries"),
+    ], ids=["version", "entry_table", "entry_dims", "stray_bytes"])
+    def test_bad_framing_rejected(self, tmp_path, version, count, entries, message):
+        # a hand-built body under a valid checksum reaches the framing checks
+        body = MAGIC + struct.pack("<IQI", version, 0, count) + entries
+        path = tmp_path / "framing.ckpt"
+        path.write_bytes(body + struct.pack("<Q", checksum64(body)))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, name", [((30, 0), "weight"), ((29, 5), "running_var")])
+    def test_missing_tensor_names_layer(self, key, name):
+        graph = _fresh_graph()
+        payload = snapshot_state(graph, EngineRng(0))
+        del payload.entries[key]
+        with pytest.raises(CheckpointError, match=f"missing {name} for layer {key[0]}$"):
+            validate_payload(graph, payload)
+
+    @pytest.mark.parametrize("words", [9, 11])
+    def test_rng_entry_of_wrong_size_rejected(self, words):
+        graph = _fresh_graph()
+        payload = snapshot_state(graph, EngineRng(0))
+        payload.entries[(0, 6)] = np.zeros(words, "<u4")
+        with pytest.raises(CheckpointError, match="rng entry must hold 10 words"):
+            validate_payload(graph, payload)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "y.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -500,28 +528,27 @@ class TestWriteBoundary:
         assert offenders == []
 
 
-# every accepted config key: (key, file value, owner field path, parsed value);
+# every accepted config key: (key, file value, field path, parsed value);
 # each value differs from the key's default
 CONFIG_ROUTES = [
-    ("seed", "3", "train.seed", 3),
+    ("seed", "3", "seed", 3),
     ("input_height", "64", "input_height", 64),
     ("input_width", "96", "input_width", 96),
-    ("normalize_inputs", "false", "normalize_inputs", False),
-    ("base_lr", "0.001", "train.base_lr", 0.001),
-    ("lr_decay_factor", "0.5", "train.lr_decay_factor", 0.5),
-    ("lr_decay_every", "0", "train.lr_decay_every", 0),
-    ("batch_size", "2", "train.batch_size", 2),
-    ("max_epochs", "3", "train.max_epochs", 3),
-    ("dropout_rate", "0", "train.dropout_rate", 0.0),
-    ("augment", "false", "train.augment.enabled", False),
-    ("max_rotation_deg", "5", "train.augment.max_rotation_deg", 5.0),
-    ("shift_fraction", "0.2", "train.augment.shift_fraction", 0.2),
-    ("zoom_fraction", "0.3", "train.augment.zoom_fraction", 0.3),
-    ("adam_beta1", "0.8", "train.adam_beta1", 0.8),
-    ("adam_beta2", "0.99", "train.adam_beta2", 0.99),
-    ("adam_eps", "1e-6", "train.adam_eps", 1e-6),
-    ("bn_momentum", "0.9", "train.bn_momentum", 0.9),
-    ("split_ratio", "0.5", "train.split_ratio", 0.5),
+    ("base_lr", "0.001", "base_lr", 0.001),
+    ("lr_decay_factor", "0.5", "lr_decay_factor", 0.5),
+    ("lr_decay_every", "0", "lr_decay_every", 0),
+    ("batch_size", "2", "batch_size", 2),
+    ("max_epochs", "3", "max_epochs", 3),
+    ("dropout_rate", "0", "dropout_rate", 0.0),
+    ("augment", "false", "augment", False),
+    ("max_rotation_deg", "5", "max_rotation_deg", 5.0),
+    ("shift_fraction", "0.2", "shift_fraction", 0.2),
+    ("zoom_fraction", "0.3", "zoom_fraction", 0.3),
+    ("adam_beta1", "0.8", "adam_beta1", 0.8),
+    ("adam_beta2", "0.99", "adam_beta2", 0.99),
+    ("adam_eps", "1e-6", "adam_eps", 1e-6),
+    ("bn_momentum", "0.9", "bn_momentum", 0.9),
+    ("split_ratio", "0.5", "split_ratio", 0.5),
     ("gt_foreground", "200,255", "gt.foreground", (200, 255)),
     ("gt_background", "0", "gt.background", (0,)),
     ("gt_exclude", "", "gt.exclude", ()),
@@ -544,11 +571,11 @@ OUT_OF_RANGE = [
     (TrainConfig, "adam_eps", math.inf),
     (TrainConfig, "bn_momentum", 1.0),
     (TrainConfig, "split_ratio", 1.5),
-    (AugmentConfig, "max_rotation_deg", 180.0),
-    (AugmentConfig, "shift_fraction", -0.1),
-    (AugmentConfig, "zoom_fraction", 1.0),
-    (RunConfig, "input_height", 0),
-    (RunConfig, "input_width", 100),
+    (TrainConfig, "max_rotation_deg", 180.0),
+    (TrainConfig, "shift_fraction", -0.1),
+    (TrainConfig, "zoom_fraction", 1.0),
+    (TrainConfig, "input_height", 0),
+    (TrainConfig, "input_width", 100),
 ]
 
 
@@ -563,12 +590,12 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text("# nothing but a comment\n")
         cfg = parse_config(path)
-        assert cfg.train.base_lr == 2e-4
-        assert cfg.train.batch_size == 8
-        assert cfg.train.max_epochs == 30
-        assert cfg.train.dropout_rate == 0.3
-        assert cfg == RunConfig()
-        assert (cfg.train, cfg.gt) == (TrainConfig(), GtMapping())
+        assert cfg.base_lr == 2e-4
+        assert cfg.batch_size == 8
+        assert cfg.max_epochs == 30
+        assert cfg.dropout_rate == 0.3
+        assert cfg == TrainConfig()
+        assert cfg.gt == GtMapping()
 
     def test_full_file(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -582,15 +609,17 @@ class TestConfig:
             "augment = false\n"
         )
         cfg = parse_config(path)
-        assert cfg.train.seed == 11
+        assert cfg.seed == 11
         assert (cfg.input_height, cfg.input_width) == (64, 64)
-        assert cfg.train.split_ratio == 0.6
-        assert cfg.train.augment.enabled is False
+        assert cfg.split_ratio == 0.6
+        assert cfg.augment is False
 
-    # the other keys once parsed but changed nothing; binarize takes
-    # --method/--min-area/--connectivity instead of the last three
+    # the other keys once parsed but changed nothing (normalize_inputs changed
+    # training inputs but not infer's, which are always in [0, 1]); binarize
+    # takes --method/--min-area/--connectivity instead of the last three
     @pytest.mark.parametrize("key", ["learning_rate", "eval_resolution", "deterministic",
-                                     "threshold", "min_area", "connectivity"])
+                                     "normalize_inputs", "threshold", "min_area",
+                                     "connectivity"])
     def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "c.cfg"
         path.write_text(f"{key} = 0.1\n")
@@ -602,7 +631,7 @@ class TestConfig:
     def test_key_lands_in_its_owner_field(self, tmp_path, key, text, path, value):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(f"{key} = {text}\n")
-        assert _field(RunConfig(), path) != value
+        assert _field(TrainConfig(), path) != value
         assert _field(parse_config(cfg_path), path) == value
 
     def test_routes_cover_every_key(self):

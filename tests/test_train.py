@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mvfcn import (
     AdamState,
-    AugmentConfig,
     EngineRng,
     Sample,
     TrainConfig,
@@ -26,7 +25,7 @@ from mvfcn import (
 from mvfcn.errors import CheckpointError, DataError, ShapeError
 from mvfcn.io import ROLE_ADAM_STEP, ROLE_RNG, apply_state, save_checkpoint
 from mvfcn.synth import make_rectangles_dataset
-from mvfcn.train import apply_affine_pair, augment_pair, evaluate_split
+from mvfcn.train import _frame_mask, apply_affine_pair, augment_pair, evaluate_split
 
 from conftest import numerical_grad, rel_err, tiny_graph, to_float64
 
@@ -197,7 +196,7 @@ class TestOrderedSplit:
 class TestAugmentation:
     def test_disabled_is_identity(self, rng):
         sample = make_rectangles_dataset(1, (16, 16), seed=0)[0]
-        cfg = AugmentConfig(enabled=False)
+        cfg = TrainConfig(augment=False)
         img, gt = augment_pair(sample.image, sample.gt, cfg, rng)
         assert img is sample.image and gt is sample.gt
 
@@ -211,7 +210,7 @@ class TestAugmentation:
     def test_mask_stays_binary(self, seed):
         sample = make_rectangles_dataset(1, (20, 20), seed=seed)[0]
         rng = EngineRng(seed)
-        _, gt = augment_pair(sample.image, sample.gt, AugmentConfig(), rng)
+        _, gt = augment_pair(sample.image, sample.gt, TrainConfig(), rng)
         assert set(np.unique(gt)) <= {0.0, 1.0}
 
     def test_shift_moves_content(self):
@@ -242,9 +241,18 @@ class TestAugmentation:
 
     def test_same_rng_state_same_augmentation(self):
         sample = make_rectangles_dataset(1, (16, 16), seed=2)[0]
-        a = augment_pair(sample.image, sample.gt, AugmentConfig(), EngineRng(33))
-        b = augment_pair(sample.image, sample.gt, AugmentConfig(), EngineRng(33))
+        a = augment_pair(sample.image, sample.gt, TrainConfig(), EngineRng(33))
+        b = augment_pair(sample.image, sample.gt, TrainConfig(), EngineRng(33))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestFrameMask:
+    @pytest.mark.parametrize("level, expected", [(0.3, 0), (0.5, 1), (0.7, 1)])
+    def test_flat_map_thresholds_at_one_half(self, level, expected):
+        # a single-level map has no Otsu split; the fallback tau is 0.5
+        mask = _frame_mask(np.full((6, 8), level, np.float32))
+        assert mask.shape == (6, 8)
+        assert (mask == expected).all()
 
 
 def _tiny_dataset(n=6, size=(32, 32), seed=0):
@@ -254,7 +262,7 @@ def _tiny_dataset(n=6, size=(32, 32), seed=0):
 def _fast_cfg(**overrides):
     defaults = dict(base_lr=1e-3, batch_size=4, max_epochs=2, seed=5,
                     lr_decay_every=0, bn_momentum=0.9,
-                    augment=AugmentConfig(enabled=False))
+                    augment=False)
     defaults.update(overrides)
     return TrainConfig(**defaults)
 
