@@ -120,8 +120,9 @@ def cmd_infer(args) -> int:
 
 
 def _parse_method(text: str):
+    """The tau of ``global:TAU``, or None for ``otsu``."""
     if text == "otsu":
-        return "otsu", None
+        return None
     m = re.fullmatch(r"global:([0-9.eE+-]+)", text)
     if m:
         try:
@@ -129,12 +130,12 @@ def _parse_method(text: str):
         except ValueError:
             tau = -1.0
         if 0.0 <= tau <= 1.0:
-            return "global", tau
+            return tau
     raise ConfigError(f"method must be 'otsu' or 'global:TAU' with TAU in [0,1], got {text!r}")
 
 
 def cmd_binarize(args) -> int:
-    method, tau = _parse_method(args.method)
+    tau = _parse_method(args.method)
     if args.min_area < 0:
         raise ConfigError("--min-area must be non-negative")
     scores_dir = Path(args.scores)
@@ -145,12 +146,11 @@ def cmd_binarize(args) -> int:
     out_dir = Path(args.out)
     for idx, path in sorted(files.items()):
         score = load_scoremap(path) if path.suffix.lower() == ".f32" else load_image(path)[0, 0]
-        frame_tau = tau if method == "global" else otsu_threshold(score).tau
+        frame_tau = otsu_threshold(score).tau if tau is None else tau
         mask = threshold_global(score, frame_tau)
-        if args.min_area > 0:
-            mask = remove_small_regions(mask, args.min_area, args.connectivity)
+        mask = remove_small_regions(mask, args.min_area, args.connectivity)
         save_image(mask, out_dir / f"{path.stem}.pgm")
-        if method == "otsu":
+        if tau is None:
             print(f"frame {idx}: tau={frame_tau:.6f}")
     return 0
 
@@ -158,21 +158,21 @@ def cmd_binarize(args) -> int:
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
-    preds = sorted(_index_files(pred_dir, (".pgm",)).items())
-    gts = sorted(_index_files(gt_dir, (".pgm",)).items())
-    if len(preds) != len(gts) or [i for i, _ in preds] != [i for i, _ in gts]:
-        raise DataError(
-            f"prediction/ground-truth misalignment: {len(preds)} vs {len(gts)} frames"
-        )
+    preds = _index_files(pred_dir, (".pgm",))
+    gts = _index_files(gt_dir, (".pgm",))
+    lone = sorted(preds.keys() ^ gts.keys())
+    if lone:
+        raise DataError(f"prediction/ground-truth misalignment: frame {lone[0]} is in "
+                        f"only one of {pred_dir} and {gt_dir}")
     roi_global = None
     if args.roi is not None:
         roi_global = load_image(args.roi)[0, 0] >= 0.5
     pred_masks = []
     gt_masks = []
     rois = []
-    for (_, ppath), (_, gpath) in zip(preds, gts):
-        pred = load_image(ppath)[0, 0] >= 0.5
-        gt, roi = _load_truth(gpath, pred.shape, GtMapping(), roi_global)
+    for idx in sorted(preds):
+        pred = load_image(preds[idx])[0, 0] >= 0.5
+        gt, roi = _load_truth(gts[idx], pred.shape, GtMapping(), roi_global)
         pred_masks.append(pred)
         gt_masks.append(gt)
         rois.append(roi)

@@ -59,6 +59,8 @@ class LayerSpec:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation {self.activation!r}")
+        if self.activation != "none" and self.kind not in CONV_KINDS:
+            raise ShapeError(f"layer {self.id}: only conv layers take an activation")
         if self.kind in CONV_KINDS:
             if len(self.inputs) != 1:
                 raise ShapeError(f"layer {self.id}: conv layers take exactly one input")
@@ -76,12 +78,16 @@ class ModelGraph:
     """Immutable layer table plus mutable named parameters.
 
     Layers must be listed so that every input id refers to an earlier row,
-    which makes list order a valid execution order.
+    which makes list order a valid execution order. Construction is the one
+    check of the table: the walk, the shape pass and the summary only read
+    what it builds.
     """
 
     def __init__(self, layers, in_channels: int = 3, input_divisor: int = 1,
                  bn_momentum: float = 0.99):
         self.layers = list(layers)
+        if not self.layers:
+            raise ShapeError("a graph needs at least one layer")
         self.in_channels = in_channels
         self.input_divisor = input_divisor
         self.bn_momentum = bn_momentum
@@ -118,6 +124,10 @@ class ModelGraph:
                                  and r.kind in CONV_KINDS)
         self.kept = self._kept()
         self.channels = self._infer_channels()
+        # each conv's spec, built (and so checked) once
+        self.specs = {l.id: (ConvSpec if l.kind == "conv" else TransposeConvSpec)(
+            l.kernel, l.stride, self.channels[l.inputs[0]], l.out_channels)
+            for l in self.layers if l.kind in CONV_KINDS}
         self.params: dict[int, dict[str, np.ndarray]] = {}
         self.bn_states: dict[int, BatchNormState] = {}
 
@@ -143,11 +153,6 @@ class ModelGraph:
                 channels[layer.id] = channels[layer.inputs[0]]
         return channels
 
-    def conv_spec(self, layer: LayerSpec) -> ConvSpec:
-        spec_type = ConvSpec if layer.kind == "conv" else TransposeConvSpec
-        return spec_type(layer.kernel, layer.stride, self.channels[layer.inputs[0]],
-                         layer.out_channels)
-
     def allocate_parameters(self, dtype=np.float32) -> None:
         """Zero weights and biases, identity batch norm: the arrays a
         checkpoint is copied into, drawn from no rng."""
@@ -156,7 +161,7 @@ class ModelGraph:
         for layer in self.layers:
             if layer.kind in CONV_KINDS:
                 self.params[layer.id] = {
-                    "weight": np.zeros(self.conv_spec(layer).weight_shape(), dtype=dtype),
+                    "weight": np.zeros(self.specs[layer.id].weight_shape(), dtype=dtype),
                     "bias": np.zeros(layer.out_channels, dtype=dtype),
                 }
             elif layer.kind == "batchnorm":
@@ -173,7 +178,7 @@ class ModelGraph:
         self.allocate_parameters(dtype)
         for layer in self.layers:
             if layer.kind in CONV_KINDS:
-                spec = self.conv_spec(layer)
+                spec = self.specs[layer.id]
                 limit = math.sqrt(6.0 / (spec.in_channels * layer.kernel * layer.kernel))
                 weight = self.params[layer.id]["weight"]
                 weight[...] = rng.uniform(-limit, limit, size=weight.shape)
@@ -274,7 +279,7 @@ def infer_shapes(graph: ModelGraph, input_shape) -> dict[int, tuple[int, int, in
         if layer.kind == "input":
             sizes[layer.id] = (h, w)
         elif layer.kind in CONV_KINDS:
-            sizes[layer.id] = graph.conv_spec(layer).output_hw(*sizes[layer.inputs[0]])
+            sizes[layer.id] = graph.specs[layer.id].output_hw(*sizes[layer.inputs[0]])
         elif layer.kind == "concat" and len({sizes[i] for i in layer.inputs}) != 1:
             parts = [(graph.channels[i], *sizes[i]) for i in layer.inputs]
             raise ShapeError(f"layer {layer.id}: concat inputs disagree spatially: {parts}")
@@ -289,7 +294,7 @@ def count_params(graph: ModelGraph) -> tuple[int, list[tuple[int, int]]]:
     per_layer = []
     for layer in graph.layers:
         if layer.kind in CONV_KINDS:
-            spec = graph.conv_spec(layer)
+            spec = graph.specs[layer.id]
             n = math.prod(spec.weight_shape()) + spec.out_channels
         elif layer.kind == "batchnorm":
             n = 2 * graph.channels[layer.id]
@@ -332,8 +337,6 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
         raise ValueError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     if mode == TRAIN and rng is None:
         raise ValueError("train-mode forward needs the engine rng for dropout")
-    if not graph.layers:
-        raise ShapeError("cannot run an empty graph")
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be rank-4, got {x.shape}")
@@ -351,7 +354,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             # one name for the conv output: a second would keep it alive
             # past its release below
             out = conv(cache.outputs[layer.inputs[0]], p["weight"], p["bias"],
-                       graph.conv_spec(layer))
+                       graph.specs[layer.id])
             if layer is last and layer.activation == "sigmoid":
                 cache.logits = out
             out = _activate(layer, out)
@@ -431,7 +434,7 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
             # before d_x; nothing consumes the gradient w.r.t. the graph input
             d_x, d_w, d_b = conv_backward(_conv_input(graph, cache, src),
                                           graph.params[layer.id]["weight"],
-                                          graph.conv_spec(layer), d,
+                                          graph.specs[layer.id], d,
                                           input_grad=graph.by_id[src].kind != "input")
             grads[layer.id] = {"weight": d_w, "bias": d_b}
             if d_x is not None:
@@ -482,6 +485,8 @@ def _accumulate(d_acc, src, part):
 
 _KIND_LABEL = {
     "input": "Input Layer",
+    "conv": "Conv2D ({kernel}, {stride})",
+    "convT": "Conv2DT ({kernel}, {stride})",
     "concat": "Concatenation",
     "batchnorm": "BatchNorm",
     "dropout": "Dropout",
@@ -495,22 +500,15 @@ def summary(graph: ModelGraph, input_shape=(3, 240, 320)) -> str:
     ending with the total trainable parameter count.
     """
     lines = ["id\ttype\toutput shape\tinputs\tparams"]
-    if graph.layers:
-        shapes = infer_shapes(graph, input_shape)
-        total, per_layer = count_params(graph)
-        counts = dict(per_layer)
-        for layer in graph.layers:
-            if layer.kind in CONV_KINDS:
-                label = ("Conv2D" if layer.kind == "conv" else "Conv2DT")
-                label += f" ({layer.kernel}, {layer.stride})"
-            else:
-                label = _KIND_LABEL[layer.kind]
-            c, h, w = shapes[layer.id]
-            srcs = ", ".join(map(str, layer.inputs)) if layer.inputs else "mini-batch"
-            lines.append(
-                f"{layer.id}\t{label}\t(None, {h}, {w}, {c})\t{srcs}\t{counts[layer.id]}"
-            )
-    else:
-        total = 0
+    shapes = infer_shapes(graph, input_shape)
+    total, per_layer = count_params(graph)
+    counts = dict(per_layer)
+    for layer in graph.layers:
+        label = _KIND_LABEL[layer.kind].format(kernel=layer.kernel, stride=layer.stride)
+        c, h, w = shapes[layer.id]
+        srcs = ", ".join(map(str, layer.inputs)) if layer.inputs else "mini-batch"
+        lines.append(
+            f"{layer.id}\t{label}\t(None, {h}, {w}, {c})\t{srcs}\t{counts[layer.id]}"
+        )
     lines.append(f"Total trainable parameters: {total}")
     return "\n".join(lines)

@@ -79,6 +79,8 @@ def _file_op(path: Path, error, action=Path.read_bytes, verb="read"):
 def make_parent(path, error=DataError) -> Path:
     """Create ``path``'s parent directory unless it exists; return ``path``."""
     path = Path(path)
+    if _file_op(path, error, Path.is_dir, "write"):
+        raise error(f"cannot write {path}: it is a directory")
     _file_op(path, error, lambda p: p.parent.mkdir(parents=True, exist_ok=True), "write")
     return path
 
@@ -162,12 +164,10 @@ def save_image(array, path):
 
 
 def ensure_rgb(tensor):
-    """Replicate a single-channel tensor to three channels when needed."""
+    """Replicate a :func:`load_image` tensor (1 or 3 channels) to three."""
     if tensor.shape[1] == 3:
         return tensor
-    if tensor.shape[1] == 1:
-        return np.repeat(tensor, 3, axis=1)
-    raise DataError(f"expected 1 or 3 channels, got {tensor.shape[1]}")
+    return np.repeat(tensor, 3, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +235,6 @@ class DatasetManifest:
     name: str
     frames: tuple[FramePair, ...]
     roi_path: Path | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.frames)
 
 
 def _index_files(directory: Path, suffixes=(".pgm", ".ppm")) -> dict[int, Path]:
@@ -594,4 +590,7 @@ def parse_config(path) -> TrainConfig:
             values[owner][name] = parse(value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return TrainConfig(gt=GtMapping(**values[GtMapping]), **values[TrainConfig])
+    try:
+        return TrainConfig(gt=GtMapping(**values[GtMapping]), **values[TrainConfig])
+    except ConfigError as exc:  # a range check: name the file, as the loop does
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -21,10 +21,6 @@ class ConfusionCounts:
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
                                self.fn + other.fn, self.tn + other.tn)
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(pred, gt, roi=None) -> ConfusionCounts:
     """Tally TP/FP/FN/TN over the pixels where roi is 1 (all pixels when
@@ -96,10 +92,6 @@ class FoMReport:
     mean_fom: float
     counts: ConfusionCounts
 
-    @property
-    def frames(self) -> int:
-        return len(self.frame_foms)
-
 
 def evaluate_sequence(preds, gts, rois=None) -> FoMReport:
     """Score an aligned sequence of binary masks.
@@ -140,7 +132,7 @@ def evaluate_sequence(preds, gts, rois=None) -> FoMReport:
 def format_report(report: FoMReport) -> str:
     """Machine-readable key=value rendering of a sequence report."""
     lines = [
-        f"frames={report.frames}",
+        f"frames={len(report.frame_foms)}",
         f"tp={report.counts.tp}",
         f"fp={report.counts.fp}",
         f"fn={report.counts.fn}",

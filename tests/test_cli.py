@@ -190,6 +190,19 @@ class TestTrain:
                        "--out", blocker / "model.ckpt") == 4
         assert "cannot write" in only_error_line(capsys)
 
+    def test_out_on_a_directory_exits_4(self, tmp_path, dataset_tree, config_file, capsys,
+                                        monkeypatch):
+        # an --out that is a directory is refused before any epoch runs
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before checking --out")
+
+        monkeypatch.setattr(mvfcn.cli, "train_loop", never)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--out", out) == 4
+        assert f"cannot write {out}: it is a directory" in only_error_line(capsys)
+
     def test_bad_gt_mapping_exits_2(self, tmp_path, dataset_tree, config_file):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config_file.read_text() + "gt_foreground = 999,255\ngt_exclude = 255\n")
@@ -493,6 +506,18 @@ class TestEval:
         self._write_masks(tmp_path / "pred", masks[:2], "in")
         self._write_masks(tmp_path / "gt", masks, "gt")
         assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt") == 3
+
+    def test_misalignment_names_the_lone_frame(self, tmp_path, capsys):
+        masks = [np.ones((6, 6), np.uint8)] * 4
+        self._write_masks(tmp_path / "pred", masks[:2], "in")
+        save_image(masks[0], tmp_path / "pred" / "in000004.pgm")
+        self._write_masks(tmp_path / "gt", masks[:3], "gt")
+        # both sides hold three frames; frame 3 is only in gt, frame 4 only in pred
+        assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                       "--report", tmp_path / "r.txt") == 3
+        err = only_error_line(capsys)
+        assert "frame 3 " in err
+        assert str(tmp_path / "pred") in err and str(tmp_path / "gt") in err
 
     def test_duplicate_frame_index_exits_3(self, tmp_path, capsys):
         masks = [np.ones((6, 6), np.uint8)] * 2

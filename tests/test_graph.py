@@ -117,6 +117,27 @@ class TestStructure:
         with pytest.raises(ShapeError):
             ModelGraph([LayerSpec(1, "input"), LayerSpec(1, "input")])
 
+    def test_empty_table_rejected_at_construction(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            ModelGraph([])
+
+    @pytest.mark.parametrize("kind", ["concat", "batchnorm"])
+    def test_activation_only_on_a_conv(self, kind):
+        with pytest.raises(ShapeError, match="only conv layers take an activation"):
+            LayerSpec(3, kind, (2,), activation="relu")
+
+    def test_even_kernel_rejected_at_construction(self):
+        # the conv specs are built and checked once, before any parameter exists
+        with pytest.raises(ShapeError, match="odd"):
+            ModelGraph([LayerSpec(1, "input"), LayerSpec(2, "conv", (1,), 4, 1, 2)])
+
+    def test_one_spec_per_conv_layer(self):
+        graph = build_mvfcn()
+        convs = [l.id for l in graph.layers if l.kind in ("conv", "convT")]
+        assert list(graph.specs) == convs and len(convs) == 22
+        for lid in convs:
+            assert graph.specs[lid].in_channels == graph.channels[graph.by_id[lid].inputs[0]]
+
 
 class TestShapeInference:
     def test_golden_table(self):
@@ -389,10 +410,6 @@ class TestSummary:
         assert f"Total trainable parameters: {TOTAL_PARAMS}" in text
         assert "(None, 480, 640, 16)" in text
 
-    def test_empty_graph(self):
-        text = summary(ModelGraph([]))
-        assert text.splitlines()[-1] == "Total trainable parameters: 0"
-
 
 class TestDeterministicInit:
     def test_same_seed_same_parameters(self):
@@ -410,7 +427,7 @@ class TestDeterministicInit:
         rng = EngineRng(5)
         for layer in graph.layers:
             if layer.kind in ("conv", "convT"):
-                spec = graph.conv_spec(layer)
+                spec = graph.specs[layer.id]
                 limit = np.sqrt(6.0 / (spec.in_channels * layer.kernel ** 2))
                 want = rng.uniform(-limit, limit, size=spec.weight_shape())
                 want = want.astype(np.float32)

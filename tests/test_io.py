@@ -171,7 +171,7 @@ class TestDiscovery:
     def test_aligned_tree(self, tmp_path):
         root = self._tree(tmp_path, range(1, 11))
         manifest = discover_dataset(root)
-        assert manifest.n == 10
+        assert len(manifest.frames) == 10
         assert [f.index for f in manifest.frames] == list(range(1, 11))
         assert manifest.name == "seq"
 
@@ -655,7 +655,7 @@ class TestConfig:
         path.write_text(f"{name} = {value}\n")
         with pytest.raises(ConfigError) as from_file:
             parse_config(path)
-        assert str(from_file.value) == str(direct.value)
+        assert str(from_file.value) == f"{path}: {direct.value}"
 
     # a label an 8-bit frame cannot hold, or one claimed by two classes
     @pytest.mark.parametrize("text, kwargs", [
@@ -675,7 +675,7 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(ConfigError) as from_file:
             parse_config(path)
-        assert str(from_file.value) == str(direct.value)
+        assert str(from_file.value) == f"{path}: {direct.value}"
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

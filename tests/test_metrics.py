@@ -34,14 +34,14 @@ class TestConfusion:
         pred[0, 0] = pred[0, 1] = pred[1, 0] = pred[1, 3] = 1
         counts = confusion(pred, gt)
         assert (counts.tp, counts.fp, counts.fn) == (3, 1, 2)
-        assert counts.total == 16
+        assert counts.tp + counts.fp + counts.fn + counts.tn == 16
 
     def test_roi_excludes_pixels(self):
         gt = np.ones((2, 2), np.uint8)
         pred = np.zeros((2, 2), np.uint8)
         roi = np.array([[1, 0], [0, 0]], np.uint8)
         counts = confusion(pred, gt, roi)
-        assert counts.total == 1 and counts.fn == 1
+        assert counts.tp + counts.fp + counts.fn + counts.tn == 1 and counts.fn == 1
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
