@@ -41,8 +41,6 @@ from .tensor import (
     resize_nearest,
     sigmoid,
     sigmoid_backward,
-    transpose_alpha,
-    transpose_output_size,
 )
 from .train import (
     AdamState,

@@ -105,7 +105,10 @@ def cmd_infer(args) -> int:
     if shared:  # each input's outputs are named by its stem alone
         raise DataError(f"two inputs share the stem {shared[0]!r}; their outputs would collide")
     out_dir = Path(args.out)
-    make_parent(out_dir / f"{stems[0]}.pgm")  # fail before the load and the first forward
+    suffixes = (".pgm", ".f32") if args.save_scores else (".pgm",)
+    for stem in stems:  # fail before the load and the first forward
+        for suffix in suffixes:
+            make_parent(out_dir / f"{stem}{suffix}")
     graph = build_mvfcn()
     graph.allocate_parameters()
     apply_state(graph, load_checkpoint(args.ckpt))

@@ -9,10 +9,23 @@ downsampling path size-for-size.
 
 Every op runs in the dtype of its inputs: float32 in production, float64
 when the gradient-check harness wants extra headroom.
+
+The engine owns the cores. Each pass (a convolution, a batch norm, an
+activation, a concat) cuts its work into fixed parts, runs them on a
+thread pool sized to the process's CPU affinity, and holds OpenBLAS to one
+thread meanwhile, so every GEMM runs whole on one worker. The parts depend
+on the pass alone, never on the worker count, and so do the bytes.
 """
 
-import numpy as np
+import ctypes
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, ShapeError
 
@@ -79,26 +92,183 @@ class TransposeConvSpec(ConvSpec):
         return self.stride * h, self.stride * w
 
 
-def transpose_alpha(target: int, kernel: int, stride: int, padding: int) -> int:
-    """Count of zeros added on the top/right edge of the dilated input so the
-    upsampled output hits exactly ``target``."""
-    m = target + 2 * padding - kernel
-    if m < 0:
-        raise ShapeError(
-            f"invalid upsampling target {target} for kernel {kernel}, padding {padding}"
-        )
-    return m % stride
-
-
-def transpose_output_size(in_size: int, kernel: int, stride: int,
-                          padding: int, alpha: int) -> int:
-    """Spatial size produced by a transposed convolution."""
-    return stride * (in_size - 1) + alpha + kernel - 2 * padding
-
-
 # Bytes one row block's column matrix may take. Blocks hold at least one
 # output row, so a single row wider than this still runs, unsplit.
 COLUMN_BUDGET = 4 << 20
+
+
+def _blas_threads():
+    """OpenBLAS's (get, set) thread-count functions, or None. They are looked
+    up through numpy's core extension, which links OpenBLAS, so no file is
+    read to find them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _BlasPin:
+    """Holds OpenBLAS at one thread from the first pass in to the last pass
+    out, then gives back the caller's count. An idle OpenBLAS worker spins
+    on the second core for about 130 ms after each threaded GEMM, so the
+    engine runs every GEMM single-threaded inside a pass and takes both
+    cores with its own pool instead. Entering yields whether it pinned."""
+
+    def __init__(self, blas):
+        self.blas = blas
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved = 1
+
+    def __enter__(self) -> bool:
+        if self.blas is None:
+            return False
+        get, put = self.blas
+        with self.lock:
+            if self.depth == 0:
+                self.saved = get()
+                put(1)
+            self.depth += 1
+        return True
+
+    def __exit__(self, *exc) -> None:
+        if self.blas is None:
+            return
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0:
+                self.blas[1](self.saved)
+
+
+_PIN = _BlasPin(_blas_threads())
+
+
+class _Cores:
+    """A pool of ``workers`` threads for the parts of a pass; none for one.
+    Its threads start on the first submit, not here."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.pool = ThreadPoolExecutor(workers, "mvfcn") if workers > 1 else None
+
+
+_cores = _Cores(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+@contextmanager
+def workers(n: int):
+    """Run the passes inside the block on ``n`` workers; 1 runs them in order
+    on the caller's thread. The bytes of every pass are the same for any n."""
+    global _cores
+    saved, _cores = _cores, _Cores(n)
+    try:
+        yield
+    finally:
+        if _cores.pool is not None:
+            _cores.pool.shutdown()
+        _cores = saved
+
+
+# Elements of the largest array a pass computes (a map, or a column or
+# slab matrix) below which its parts run in order: smaller passes lose more
+# to the handoffs between threads than the second core gains them.
+POOL_MIN = 1 << 18
+
+
+def _at_once(parts: int, size: int) -> int:
+    """How many of a pass's ``parts`` run at a time: one when the pass
+    computes fewer than POOL_MIN elements (``size``), when there is one
+    worker, or when there is no OpenBLAS to pin."""
+    if size < POOL_MIN or _PIN.blas is None:
+        return 1
+    return min(parts, _cores.workers)
+
+
+def _held(parts: int, size: int) -> int:
+    """How many results of a pass exist at a time: the parts the pool runs
+    or queues, plus the one the consumer holds."""
+    at_once = _at_once(parts, size)
+    return 1 if at_once == 1 else 2 * at_once + 1
+
+
+def _parts(fn, parts, size: int):
+    """Yield ``fn(part)`` for each part, in part order, with OpenBLAS pinned
+    to one thread. The parts run on the pool, a bounded number ahead of the
+    consumer, or in order on the caller's thread (see :func:`_at_once`).
+    Each part is fixed by the pass, not by the worker count,
+    and writes only its own slice or returns its own result, so the bytes do
+    not depend on which thread runs it. A part must not start a pass itself:
+    it would wait on the workers it holds."""
+    parts = list(parts)
+    held = _held(len(parts), size)
+    with _PIN:
+        if held == 1:
+            for part in parts:
+                yield fn(part)
+            return
+        pending = deque()
+        try:
+            for part in parts:
+                pending.append(_cores.pool.submit(fn, part))
+                if len(pending) == held:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+            wait(pending)
+
+
+def _run(fn, parts, size: int) -> list:
+    """:func:`_parts`, run to the end: the results in part order."""
+    return list(_parts(fn, parts, size))
+
+
+def _halves(c: int) -> list:
+    """The slices of the two halves of c channels, the parts of a pass that
+    splits by channel; one slice when c < 2."""
+    return [slice(0, c // 2), slice(c // 2, c)] if c > 1 else [slice(0, c)]
+
+
+def _elementwise(fn, *arrays) -> None:
+    """``fn`` on each channel half (axis 1) of the equally shaped ``arrays``;
+    on the whole arrays when they have no channel axis."""
+    if arrays[0].ndim < 2:
+        fn(*arrays)
+    else:
+        _run(lambda ix: fn(*(a[:, ix] for a in arrays)), _halves(arrays[0].shape[1]),
+             arrays[0].size)
+
+
+class _Scratch:
+    """Buffers for a pass: one set per part that runs at a time, made here
+    on the caller's thread. A part takes a set and gives it back. Big arrays
+    are never allocated on a worker: each worker thread gets its own malloc
+    arena, which keeps what it frees and so raises peak memory."""
+
+    def __init__(self, make, count: int):
+        self.free = [make() for _ in range(count)]
+
+    @contextmanager
+    def __call__(self):
+        item = self.free.pop()
+        try:
+            yield item
+        finally:
+            self.free.append(item)
 
 
 def _taps(k: int, s: int, oh: int, ow: int):
@@ -123,61 +293,94 @@ def _row_blocks(oh: int, row_bytes: int):
         yield r0, min(step, oh - r0)
 
 
-def _windows(big, k: int, s: int):
-    """Walk the big side (n, c, h, w) of a stride-``s`` k x k convolution by
-    image and block of small-side rows (k*k*c*ow elements a row under
-    COLUMN_BUDGET), yielding (i, r0, rows, win, part, win_part): ``win`` is
-    the block's window, zero-padded as far as the taps reach, ``part`` the
-    map region it covers (a view of ``big``) and ``win_part`` its place in
-    ``win``. All windows share one buffer; ``part[...] = win_part`` stores one.
-    The only code that derives the same-floor padding and the small side,
+class _Windows:
+    """The big side (n, c, h, w) of a stride-``s`` k x k convolution, cut into
+    ``blocks``: (i, r0, rows) runs of image i's small-side rows, k*k*c*ow
+    elements a row under COLUMN_BUDGET, the tallest first; ``c`` counts
+    the channels that sets the rows (big's own by default). The only code
+    that derives the same-floor padding and the small side,
     ceil(h / s) x ceil(w / s), from the big side's size."""
-    n, c, h, w = big.shape
-    pt, _, oh = same_floor_padding(h, k, s)
-    pl, _, ow = same_floor_padding(w, k, s)
-    blocks = list(_row_blocks(oh, k * k * c * ow * big.itemsize))
-    win_w = (ow - 1) * s + k
-    cw = min(w, win_w - pl)  # map columns some window reaches
-    buf = np.zeros((c, (blocks[0][1] - 1) * s + k, win_w), dtype=big.dtype)
-    for i in range(n):
-        for r0, rows in blocks:
-            win_h = (rows - 1) * s + k
-            top = r0 * s - pt  # map row of the window's first row
-            lo, hi = max(top, 0), min(top + win_h, h)
-            part = big[i, :, lo:hi, :cw]
-            win_part = buf[:, lo - top:hi - top, pl:pl + cw]
-            buf[:, :lo - top] = buf[:, hi - top:win_h] = 0  # pad rows
-            win_part[...] = part  # pad columns stay zero unless a caller adds
-            yield i, r0, rows, buf[:, :win_h], part, win_part
+
+    def __init__(self, big, k: int, s: int, c: int | None = None):
+        self.big, self.k, self.s = big, k, s
+        n, own_c, h, w = big.shape
+        self.pt, _, self.oh = same_floor_padding(h, k, s)
+        self.pl, _, self.ow = same_floor_padding(w, k, s)
+        rows = list(_row_blocks(self.oh, k * k * (c or own_c) * self.ow * big.itemsize))
+        self.blocks = [(i, r0, m) for i in range(n) for r0, m in rows]
+        self.win_w = (self.ow - 1) * s + k
+        self.cw = min(w, self.win_w - self.pl)  # map columns some window reaches
+
+    def buffer(self):
+        """A zeroed buffer for the tallest block's window."""
+        return np.zeros((self.big.shape[1], (self.blocks[0][2] - 1) * self.s + self.k,
+                         self.win_w), dtype=self.big.dtype)
+
+    def load(self, buf, i: int, r0: int, rows: int):
+        """Fill ``buf`` with block (i, r0, rows)'s window, zero-padded as far
+        as the taps reach, and return (win, part, win_part): ``part`` is the
+        map region the window covers (a view of the big side) and
+        ``win_part`` its place in ``win``; ``part[...] = win_part`` stores it.
+        Pad columns stay zero unless a caller adds to them, so a buffer
+        serves one kind of pass."""
+        win_h = (rows - 1) * self.s + self.k
+        top = r0 * self.s - self.pt  # map row of the window's first row
+        lo, hi = max(top, 0), min(top + win_h, self.big.shape[2])
+        part = self.big[i, :, lo:hi, :self.cw]
+        win_part = buf[:, lo - top:hi - top, self.pl:self.pl + self.cw]
+        buf[:, :lo - top] = buf[:, hi - top:win_h] = 0  # pad rows
+        win_part[...] = part
+        return buf[:, :win_h], part, win_part
 
 
-def _column_blocks(big, k: int, s: int):
-    """Im2col through :func:`_windows`: yield (i, r0, rows, cols), cols being
-    image i's (k*k*c, rows*ow) matrix whose row (ki, kj, ci) is channel ci of tap (ki, kj)."""
-    n, c, h = big.shape[:3]
-    if k == s == 1:  # a 1x1 kernel's columns are the image itself
-        for i in range(n):
-            yield i, 0, h, big[i].reshape(c, -1)
-        return
-    for i, r0, rows, win, _, _ in _windows(big, k, s):
-        ow = (win.shape[2] - k) // s + 1  # the window spans (ow - 1) * s + k columns
-        if i == r0 == 0:  # the first block is the tallest: size the buffer
-            buf = np.empty(k * k * c * rows * ow, dtype=big.dtype)
-        cols = buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
-        for ki, kj, r, q in _taps(k, s, rows, ow):
-            cols[ki, kj] = win[:, r, q]
-        yield i, r0, rows, cols.reshape(k * k * c, -1)
+def _column_blocks(big, k: int, s: int, fn):
+    """Im2col, block by block on the pool: yield fn(i, r0, rows, cols) in
+    block order, cols being image i's (k*k*c, rows*ow) matrix whose row
+    (ki, kj, ci) is channel ci of tap (ki, kj), built in its worker's own
+    window and column buffers."""
+    n, c = big.shape[:2]
+    windows = _Windows(big, k, s)
+    size = k * k * c * n * windows.oh * windows.ow  # all blocks' columns
+    if k == s == 1:  # a 1x1 kernel's columns are the block's own rows
+        return _parts(lambda b: fn(*b, big[b[0], :, b[1]:b[1] + b[2]].reshape(c, -1)),
+                      windows.blocks, size)
+    ow, tallest = windows.ow, windows.blocks[0][2]
+    scratch = _Scratch(lambda: (windows.buffer(), np.empty(k * k * c * tallest * ow, big.dtype)),
+                       _at_once(len(windows.blocks), size))
+
+    def block(part):
+        i, r0, rows = part
+        with scratch() as (win_buf, col_buf):
+            win = windows.load(win_buf, i, r0, rows)[0]
+            cols = col_buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
+            for ki, kj, r, q in _taps(k, s, rows, ow):
+                cols[ki, kj] = win[:, r, q]
+            return fn(i, r0, rows, cols.reshape(k * k * c, -1))
+
+    return _parts(block, windows.blocks, size)
 
 
 def _weight_grad(small, big, weights, s: int):
     """Kernel gradient shared by both convolutions: each tap correlates the
     small side (n, a, oh, ow) with its window of the big side (n, b, ...),
     giving an (a, b) slice of a weights-shaped array. One GEMM per row block
-    against the big side's column matrix."""
+    against the big side's column matrix, the products summed in block
+    order."""
     a = small.shape[1]
     k = weights.shape[-1]
-    acc = sum(small[i, :, r0:r0 + rows].reshape(a, -1) @ cols.T
-              for i, r0, rows, cols in _column_blocks(big, k, s))
+    n, b = big.shape[:2]
+    blocks = len(_Windows(big, k, s).blocks)
+    acc = np.zeros((a, k * k * b), np.result_type(small, big))
+    # product buffers made here, each given back once the caller has added it
+    free = [np.empty_like(acc)
+            for _ in range(_held(blocks, k * k * b * n * small.shape[2] * small.shape[3]))]
+
+    def product(i, r0, rows, cols):
+        return np.matmul(small[i, :, r0:r0 + rows].reshape(a, -1), cols.T, out=free.pop())
+
+    for p in _column_blocks(big, k, s, product):
+        acc += p
+        free.append(p)
     d_w = np.empty_like(weights)
     d_w[...] = acc.reshape(a, k, k, -1).transpose(0, 3, 1, 2)
     return d_w
@@ -201,17 +404,24 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
 
     x: (n, cin, h, w); weights: (cout, cin, k, k); bias: (cout,) or None.
     Returns (n, cout, ceil(h/s), ceil(w/s)). Each output neuron gathers
-    its window through the kernel: one GEMM per block of output rows.
+    its window through the kernel: one GEMM per block of output rows, which
+    also adds the bias to its block.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     cout = spec.out_channels
     w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
     out = np.empty((x.shape[0], cout, *spec.output_hw(*x.shape[2:])), dtype=x.dtype)
-    for i, r0, rows, cols in _column_blocks(x, spec.kernel, spec.stride):
-        # each channel's block rows are contiguous, so the reshape is a view
-        np.matmul(w_mat, cols, out=out[i, :, r0:r0 + rows].reshape(cout, -1))
     if bias is not None:
-        out += np.asarray(bias, dtype=out.dtype)[:, None, None]
+        bias = np.asarray(bias, dtype=out.dtype)[:, None, None]
+
+    def block(i, r0, rows, cols):
+        o = out[i, :, r0:r0 + rows]
+        # each channel's block rows are contiguous, so the reshape is a view
+        np.matmul(w_mat, cols, out=o.reshape(cout, -1))
+        if bias is not None:
+            o += bias
+
+    list(_column_blocks(x, spec.kernel, spec.stride, block))  # runs every block
     return out
 
 
@@ -242,12 +452,14 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
 def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     """Transposed convolution: scatter each input neuron through the kernel.
 
-    Equivalent to dilating the input with stride-1 interleaved zeros plus the
-    edge zeros counted by :func:`transpose_alpha`, then convolving at unit
-    stride; implemented directly as the adjoint of :func:`conv2d_forward`:
-    per block of input rows one GEMM gives every tap's slab, scatter-added
-    into the block's window of the output, which is loaded with the earlier
-    blocks' partial sums and stored back. Default size (stride*h, stride*w).
+    Equivalent to dilating the input with stride-1 interleaved zeros plus
+    edge zeros, then convolving at unit stride; implemented directly as the
+    adjoint of :func:`conv2d_forward`, one part per half of the output
+    channels. Per block of input rows one GEMM gives every tap's slab,
+    scatter-added into the block's window of the output, which is loaded
+    with the earlier blocks' partial sums and stored back; a 1x1 kernel at
+    stride 1 is one GEMM per image straight into the output. Default size
+    (stride*h, stride*w).
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -258,15 +470,45 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
         raise ShapeError(
             f"target {out_h}x{out_w} is not a stride-{s} preimage of input {h}x{w}"
         )
-    w_mat = weights.transpose(2, 3, 1, 0).reshape(-1, c)
-    out = np.zeros((n, cout, out_h, out_w), dtype=x.dtype)
-    for i, r0, rows, win, part, win_part in _windows(out, k, s):
-        slabs = (w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)).reshape(k, k, cout, rows, w)
-        for ki, kj, r, q in _taps(k, s, rows, w):
-            win[:, r, q] += slabs[ki, kj]
-        part[...] = win_part
-    if bias is not None:
-        out += np.asarray(bias, dtype=out.dtype)[:, None, None]
+    taps = weights.transpose(2, 3, 1, 0)  # (k, k, cout, c)
+    out = (np.empty if k == s == 1 else np.zeros)((n, cout, out_h, out_w), dtype=x.dtype)
+    halves = _halves(cout)
+
+    def windows(ix):
+        # both halves cut the blocks of the whole pass, so each output
+        # element sums its taps in the same order
+        return _Windows(out[:, ix], k, s, cout)
+
+    def make():  # sized for the larger half, the last
+        last = windows(halves[-1])
+        slab = k * k * last.big.shape[1] * last.blocks[0][2] * w
+        return last.buffer(), np.empty(slab, x.dtype)
+
+    size = k * k * cout * x.size // c  # all blocks' slabs
+    scratch = None if k == s == 1 else _Scratch(make, _at_once(len(halves), size))
+
+    def half(ix):
+        o = out[:, ix]
+        part_c = o.shape[1]
+        w_mat = taps[:, :, ix].reshape(-1, c)
+        if scratch is None:
+            for i in range(n):
+                np.matmul(w_mat, x[i].reshape(c, -1), out=o[i].reshape(part_c, -1))
+        else:
+            with scratch() as (win_buf, slab_buf):
+                part_windows = windows(ix)
+                for i, r0, rows in part_windows.blocks:
+                    win, part, win_part = part_windows.load(win_buf[:part_c], i, r0, rows)
+                    slabs = slab_buf[:k * k * part_c * rows * w].reshape(-1, rows * w)
+                    np.matmul(w_mat, x[i, :, r0:r0 + rows].reshape(c, -1), out=slabs)
+                    slabs = slabs.reshape(k, k, part_c, rows, w)
+                    for ki, kj, r, q in _taps(k, s, rows, w):
+                        win[:, r, q] += slabs[ki, kj]
+                    part[...] = win_part
+        if bias is not None:
+            o += np.asarray(bias, dtype=out.dtype)[ix, None, None]
+
+    _run(half, halves, size)
     return out
 
 
@@ -300,13 +542,20 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
 
 def relu(x, out=None):
     """max(x, 0); ``out=x`` applies it in place."""
-    return np.maximum(x, 0, out=out)
+    x = np.asarray(x)
+    out = np.empty_like(x) if out is None else out
+    _elementwise(lambda a, o: np.maximum(a, 0, out=o), x, out)
+    return out
 
 
 def relu_backward(d_out, x, out=None):
     """Pass the upstream gradient where x > 0, zero (signed as d_out * 0)
     elsewhere; ``out=d_out`` applies it in place."""
-    return np.multiply(d_out, x > 0, out=out)
+    d_out, x = np.asarray(d_out), np.asarray(x)
+    out = np.empty_like(d_out) if out is None else out
+    _elementwise(lambda d, a, keep, o: np.multiply(d, np.greater(a, 0, out=keep), out=o),
+                 d_out, x, np.empty(x.shape, bool), out)
+    return out
 
 
 def sigmoid(x):
@@ -362,12 +611,22 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
             f"input has {x.shape[1]} channels, state holds {state.channels}"
         )
     if mode == TRAIN:
-        mu = x.mean(axis=(0, 2, 3))
-        # one centring pass feeds both: x.var centres again internally
-        xhat = x - mu.reshape(1, -1, 1, 1)
-        var = np.square(xhat).mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat *= inv_std.reshape(1, -1, 1, 1)
+        xhat, squares = np.empty_like(x), np.empty_like(x)
+
+        def normalize(ix):
+            part, xhat_part = x[:, ix], xhat[:, ix]
+            mu = part.mean(axis=(0, 2, 3))
+            # one centring pass feeds both: x.var centres again internally
+            np.subtract(part, mu.reshape(1, -1, 1, 1), out=xhat_part)
+            var = np.square(xhat_part, out=squares[:, ix]).mean(axis=(0, 2, 3))
+            inv_std = 1.0 / np.sqrt(var + state.eps)
+            xhat_part *= inv_std.reshape(1, -1, 1, 1)
+            return mu, var, inv_std
+
+        # per-channel statistics: a channel half gives each channel's bytes
+        mu, var, inv_std = map(np.concatenate,
+                               zip(*_run(normalize, _halves(x.shape[1]), x.size)))
+        del squares  # freed before the output is allocated
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype)
@@ -385,17 +644,25 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         scale = state.gamma * inv_std
         shift = state.beta - state.running_mean * scale
-        y = x * scale.reshape(1, -1, 1, 1)
-        y += shift.reshape(1, -1, 1, 1)
-        return y, None
+        return _affine(x, scale, shift), None
     raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
 
 
 def batchnorm_affine(xhat, state: BatchNormState):
     """The train-mode output ``xhat * gamma + beta``: the forward builds it
     here, and a backward that did not keep it rebuilds the same bits here."""
-    y = xhat * state.gamma.reshape(1, -1, 1, 1)
-    y += state.beta.reshape(1, -1, 1, 1)
+    return _affine(xhat, state.gamma, state.beta)
+
+
+def _affine(x, scale, shift):
+    """``x * scale + shift`` per channel, by channel halves."""
+    y = np.empty(x.shape, np.result_type(x, scale, shift))
+
+    def half(ix):
+        np.multiply(x[:, ix], scale[ix].reshape(1, -1, 1, 1), out=y[:, ix])
+        y[:, ix] += shift[ix].reshape(1, -1, 1, 1)
+
+    _run(half, _halves(x.shape[1]), x.size)
     return y
 
 
@@ -411,17 +678,26 @@ def batchnorm_backward(d_out, state: BatchNormState, cache):
     xhat, inv_std = cache
     d_out = np.asarray(d_out)
     m = d_out.shape[0] * d_out.shape[2] * d_out.shape[3]
-    d_beta = d_out.sum(axis=(0, 2, 3))
-    scratch = d_out * xhat
-    d_gamma = scratch.sum(axis=(0, 2, 3))
-    dxhat = np.multiply(d_out, state.gamma.reshape(1, -1, 1, 1), out=scratch)
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    d_x = dxhat * xhat
-    sum_dxhat_xhat = d_x.sum(axis=(0, 2, 3), keepdims=True)
-    np.multiply(dxhat, m, out=d_x)
-    d_x -= sum_dxhat
-    d_x -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
-    d_x *= inv_std.reshape(1, -1, 1, 1) / m
+    d_x = np.empty(d_out.shape, np.result_type(d_out, xhat))
+    scratches = np.empty_like(d_x)
+
+    def half(ix):
+        d, xh, dx = d_out[:, ix], xhat[:, ix], d_x[:, ix]
+        d_beta = d.sum(axis=(0, 2, 3))
+        scratch = np.multiply(d, xh, out=scratches[:, ix])
+        d_gamma = scratch.sum(axis=(0, 2, 3))
+        dxhat = np.multiply(d, state.gamma[ix].reshape(1, -1, 1, 1), out=scratch)
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(dxhat, xh, out=dx)
+        sum_dxhat_xhat = dx.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(dxhat, m, out=dx)
+        dx -= sum_dxhat
+        dx -= np.multiply(xh, sum_dxhat_xhat, out=scratch)
+        dx *= inv_std[ix].reshape(1, -1, 1, 1) / m
+        return d_gamma, d_beta
+
+    d_gamma, d_beta = map(np.concatenate,
+                          zip(*_run(half, _halves(d_out.shape[1]), d_out.size)))
     return d_x, d_gamma, d_beta
 
 
@@ -437,7 +713,14 @@ def concat_channels(inputs):
                 f"concat input {i} shaped {a.shape} does not match {base} on "
                 "(batch, h, w)"
             )
-    return np.concatenate(arrs, axis=1)
+    ends = np.cumsum([a.shape[1] for a in arrs]).tolist()
+    out = np.empty((base[0], ends[-1], *base[2:]), dtype=np.result_type(*arrs))
+
+    def copy(j):
+        out[:, ends[j] - arrs[j].shape[1]:ends[j]] = arrs[j]
+
+    _run(copy, range(len(arrs)), out.size)  # one part per input
+    return out
 
 
 def concat_backward(d_out, channel_sizes):
@@ -483,9 +766,15 @@ def dropout_backward(d_out, mask, rate: float, out=None):
 def _scale_kept(x, mask, rate: float, out=None):
     """x where the bool mask keeps it, scaled by 1 / (1 - rate) in x's own
     dtype; zero (signed as x * 0) where it drops."""
-    y = np.multiply(x, mask, out=out)
-    y *= y.dtype.type(1.0 / (1.0 - rate))
-    return y
+    out = np.empty_like(x) if out is None else out
+    scale = out.dtype.type(1.0 / (1.0 - rate))
+
+    def part(a, keep, o):
+        np.multiply(a, keep, out=o)
+        o *= scale
+
+    _elementwise(part, x, mask, out)
+    return out
 
 
 def resize_nearest(image, target_h: int, target_w: int):

@@ -9,7 +9,7 @@ checks run in float64.
 import numpy as np
 import pytest
 
-from mvfcn import EngineRng, LayerSpec, ModelGraph
+from mvfcn import EngineRng, LayerSpec, ModelGraph, ShapeError
 
 
 @pytest.fixture
@@ -22,6 +22,23 @@ def write_raw_scoremap(path, score):
     checks, so readers can be shown maps no writer would produce."""
     score = np.asarray(score, dtype="<f4")
     path.write_bytes(b"MVSC" + np.array(score.shape, "<u4").tobytes() + score.tobytes())
+
+
+def transpose_alpha(target: int, kernel: int, stride: int, padding: int) -> int:
+    """Keras-style sizing oracle: count of zeros added on the top/right edge
+    of the dilated input so the upsampled output hits exactly ``target``."""
+    m = target + 2 * padding - kernel
+    if m < 0:
+        raise ShapeError(
+            f"invalid upsampling target {target} for kernel {kernel}, padding {padding}"
+        )
+    return m % stride
+
+
+def transpose_output_size(in_size: int, kernel: int, stride: int,
+                          padding: int, alpha: int) -> int:
+    """Spatial size a dilate-then-convolve transposed convolution produces."""
+    return stride * (in_size - 1) + alpha + kernel - 2 * padding
 
 
 def rel_err(a, b) -> float:

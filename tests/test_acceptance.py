@@ -13,6 +13,7 @@ import pytest
 from mvfcn import (
     ConvSpec,
     EngineRng,
+    ShapeError,
     TrainConfig,
     TransposeConvSpec,
     backward,
@@ -35,8 +36,6 @@ from mvfcn import (
     summary,
     threshold_global,
     train_loop,
-    transpose_alpha,
-    transpose_output_size,
 )
 from mvfcn.io import apply_state, save_checkpoint
 from mvfcn.metrics import confusion, fom, fom_soft, ConfusionCounts
@@ -45,7 +44,14 @@ from mvfcn.synth import make_rectangles_dataset
 from mvfcn.tensor import BatchNormState
 from mvfcn.train import evaluate_split, ordered_split
 
-from conftest import numerical_grad, rel_err, tiny_graph, to_float64
+from conftest import (
+    numerical_grad,
+    rel_err,
+    tiny_graph,
+    to_float64,
+    transpose_alpha,
+    transpose_output_size,
+)
 
 GRAD_TOL = 1e-3
 
@@ -203,10 +209,20 @@ def test_criterion_4_adjoint_property():
 
 
 def test_criterion_5_transpose_sizing():
+    spec = TransposeConvSpec(3, 2, 1, 1)
+    weight = np.zeros(spec.weight_shape(), dtype=np.float32)
     for i_prime, target in [(15, 30), (30, 60), (60, 120), (120, 240)]:
+        # the Keras-style dilate-then-conv oracle
         alpha = transpose_alpha(target, kernel=3, stride=2, padding=1)
         assert alpha == 1
         assert transpose_output_size(i_prime, 3, 2, 1, alpha) == target
+        # the engine's own rule: the spec, the output shape, and the refusal
+        # of a target the input is not the stride-2 image of
+        assert spec.output_hw(i_prime, i_prime) == (target, target)
+        x = np.zeros((1, 1, i_prime, i_prime), dtype=np.float32)
+        assert convT2d_forward(x, weight, None, spec).shape == (1, 1, target, target)
+        with pytest.raises(ShapeError):
+            convT2d_forward(x, weight, None, spec, out_hw=(target + 2, target))
     _report(5, "upsampling arithmetic doubles 15/30/60/120 exactly")
 
 

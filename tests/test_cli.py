@@ -308,6 +308,21 @@ class TestInfer:
                        dataset_tree / "input" / "in000001.ppm", "--out", blocker) == 3
         assert "cannot write" in only_error_line(capsys)
 
+    @pytest.mark.parametrize("taken", ["b.pgm", "b.f32"])
+    def test_later_output_that_is_a_directory_exits_3_before_writing(
+            self, tmp_path, trained_ckpt, dataset_tree, capsys, taken):
+        # every output path is checked before the first frame is scored
+        frames = []
+        for name, src in (("a", "in000001"), ("b", "in000002")):
+            frames.append(tmp_path / f"{name}.ppm")
+            frames[-1].write_bytes((dataset_tree / "input" / f"{src}.ppm").read_bytes())
+        out_dir = tmp_path / "out"
+        (out_dir / taken).mkdir(parents=True)
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", *frames,
+                       "--out", out_dir, "--save-scores") == 3
+        assert f"cannot write {out_dir / taken}: it is a directory" in only_error_line(capsys)
+        assert sorted(p.name for p in out_dir.iterdir()) == [taken]
+
     def test_inputs_sharing_a_stem_exit_3_before_writing(self, tmp_path, trained_ckpt,
                                                          dataset_tree, capsys):
         frame = dataset_tree / "input" / "in000001.ppm"

@@ -1,0 +1,203 @@
+"""The engine's pool: each pooled pass gives the bytes of the in-order run
+on any worker count, OpenBLAS gets the caller's thread count back after a
+pass, and no GEMM runs outside ``tensor``, where the pin cannot reach it."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mvfcn
+from mvfcn import (
+    BatchNormState,
+    ConvSpec,
+    EngineRng,
+    TrainConfig,
+    TransposeConvSpec,
+    batchnorm_backward,
+    batchnorm_forward,
+    concat_channels,
+    conv2d_backward,
+    conv2d_forward,
+    convT2d_backward,
+    convT2d_forward,
+    dropout,
+    dropout_backward,
+    relu,
+    relu_backward,
+    train_loop,
+)
+from mvfcn import tensor
+from mvfcn.io import save_checkpoint
+from mvfcn.synth import make_rectangles_dataset
+
+WORKERS = (2, 3)
+
+
+@pytest.fixture
+def pool_every_pass(monkeypatch):
+    # the tests' maps are small: pool them all the same
+    monkeypatch.setattr(tensor, "POOL_MIN", 0)
+
+
+def _on(workers: int, run):
+    with tensor.workers(workers):
+        return run()
+
+
+def _arrays(result):
+    """Each array a pass returned, with its dtype and shape, flattened."""
+    if isinstance(result, np.ndarray):
+        return [(result.dtype.str, result.shape, result.tobytes())]
+    if isinstance(result, (tuple, list)):
+        return [a for item in result for a in _arrays(item)]
+    return [result]
+
+
+def _normal(seed: int):
+    r = np.random.default_rng(seed)
+    return lambda *shape: r.normal(size=shape).astype(np.float32)
+
+
+def _conv_passes(batch):
+    """(name, run) pairs for the conv passes; each run builds its inputs."""
+    normal = _normal(3)
+    spec3 = ConvSpec(3, 1, 5, 7)
+    spec1 = ConvSpec(1, 1, 5, 3)
+    spec_s2 = ConvSpec(3, 2, 5, 4)
+    tspec = TransposeConvSpec(3, 2, 4, 5)
+    tspec1 = TransposeConvSpec(1, 1, 3, 5)
+    x = normal(batch, 5, 11, 9)
+    w3, w1, w2 = normal(*spec3.weight_shape()), normal(*spec1.weight_shape()), \
+        normal(*spec_s2.weight_shape())
+    wt, wt1 = normal(*tspec.weight_shape()), normal(*tspec1.weight_shape())
+    small = normal(batch, 4, 6, 5)
+    return [
+        ("conv3x3", lambda: conv2d_forward(x, w3, normal(7), spec3)),
+        ("conv1x1", lambda: conv2d_forward(x, w1, np.arange(3, dtype=np.float32), spec1)),
+        ("conv_backward", lambda: conv2d_backward(x, w3, spec3, normal(batch, 7, 11, 9))),
+        ("conv_s2_backward", lambda: conv2d_backward(x, w2, spec_s2, normal(batch, 4, 6, 5))),
+        ("conv1x1_backward", lambda: conv2d_backward(x, w1, spec1, normal(batch, 3, 11, 9))),
+        ("convT", lambda: convT2d_forward(small, wt, np.ones(5, np.float32), tspec,
+                                          out_hw=(11, 9))),
+        ("convT1x1", lambda: convT2d_forward(normal(batch, 3, 11, 9), wt1, None, tspec1)),
+        ("convT_backward", lambda: convT2d_backward(small, wt, tspec, normal(batch, 5, 12, 10))),
+    ]
+
+
+def _map_passes(batch):
+    normal = _normal(4)
+    x, d = normal(batch, 5, 7, 6), normal(batch, 5, 7, 6)
+    x[0, 0, 0, :2] = [0.0, -0.0]
+
+    def train_norm():
+        s = BatchNormState.create(5)
+        s.gamma[...], s.beta[...] = normal(5), normal(5)
+        y, cache = batchnorm_forward(x, s, "train")
+        return y, cache, s.running_mean, s.running_var, batchnorm_backward(d, s, cache)
+
+    def infer_norm():
+        s = BatchNormState.create(5)
+        s.running_mean[...], s.running_var[...] = normal(5), np.abs(normal(5)) + 0.5
+        s.initialized = True
+        return batchnorm_forward(x, s, "infer")[0]
+
+    def masks():
+        y, mask = dropout(x, 0.3, EngineRng(5), "train")
+        return y, mask, dropout_backward(d, mask, 0.3)
+
+    return [
+        ("relu", lambda: relu(x)),
+        ("relu_backward", lambda: relu_backward(d, x)),
+        ("batchnorm_train", train_norm),
+        ("batchnorm_infer", infer_norm),
+        ("dropout", masks),
+        ("concat", lambda: concat_channels([x, normal(batch, 2, 7, 6), d[:, :1]])),
+    ]
+
+
+def _pass_ids():
+    return [name for name, _ in _conv_passes(1) + _map_passes(1)]
+
+
+@pytest.mark.usefixtures("pool_every_pass")
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", _pass_ids())
+def test_pooled_pass_bytes_equal_the_in_order_run(monkeypatch, batch, name):
+    # a small column budget cuts each image into an odd number of blocks
+    monkeypatch.setattr(tensor, "COLUMN_BUDGET", 3 * 3 * 5 * 9 * 4 * 4)
+    assert len(list(tensor._row_blocks(11, 3 * 3 * 5 * 9 * 4))) == 3
+
+    def run():
+        passes = dict(_conv_passes(batch) + _map_passes(batch))
+        return _arrays(passes[name]())
+
+    in_order = _on(1, run)
+    for workers in WORKERS:
+        assert _on(workers, run) == in_order, workers
+
+
+@pytest.mark.usefixtures("pool_every_pass")
+def test_train_loop_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    samples = make_rectangles_dataset(6, (32, 32), seed=8)
+    cfg = TrainConfig(max_epochs=2, batch_size=4, seed=5, dropout_rate=0.3, augment=True)
+    digests = []
+    for workers in (1, 2):
+        result = _on(workers, lambda: train_loop(samples, cfg))
+        for name in ("best", "last"):
+            save_checkpoint(tmp_path / f"{workers}{name}.ckpt", getattr(result, name))
+        digests.append((result.history.as_table(),
+                        (tmp_path / f"{workers}best.ckpt").read_bytes(),
+                        (tmp_path / f"{workers}last.ckpt").read_bytes()))
+    assert digests[0] == digests[1]
+
+
+blas = pytest.mark.skipif(tensor._PIN.blas is None, reason="no OpenBLAS thread control")
+
+
+@blas
+@pytest.mark.usefixtures("pool_every_pass")
+@pytest.mark.parametrize("caller", [1, 2])
+def test_blas_threads_pinned_in_a_pass_and_restored_after(caller):
+    get, put = tensor._PIN.blas
+    saved = get()
+    try:
+        put(caller)
+        with tensor.workers(2):
+            inside = tensor._run(lambda part: get(), range(4), 1)
+        assert inside == [1, 1, 1, 1]
+        assert get() == caller
+        x = np.ones((1, 2, 5, 5), np.float32)
+        conv2d_forward(x, np.ones((3, 2, 3, 3), np.float32), None, ConvSpec(3, 1, 2, 3))
+        assert get() == caller
+    finally:
+        put(saved)
+
+
+@blas
+@pytest.mark.usefixtures("pool_every_pass")
+def test_blas_threads_restored_when_a_part_fails():
+    get, _ = tensor._PIN.blas
+    before = get()
+
+    def fail(part):
+        if part == 2:
+            raise ValueError("part 2")
+
+    with tensor.workers(2), pytest.raises(ValueError, match="part 2"):
+        tensor._run(fail, range(5), 1)
+    assert get() == before
+    assert tensor._PIN.depth == 0
+
+
+def test_only_tensor_runs_a_gemm():
+    # a GEMM elsewhere would run outside every pass: on OpenBLAS's threads,
+    # whose idle spin holds the core the pool's next pass needs
+    gemm = re.compile(r"^\s*[^@\s].*@|\b(matmul|dot|tensordot|einsum)\b")  # not a decorator
+    package = Path(mvfcn.__file__).parent
+    offenders = [f"{module.name}:{lineno}"
+                 for module in sorted(package.glob("*.py")) if module.name != "tensor.py"
+                 for lineno, line in enumerate(module.read_text().splitlines(), start=1)
+                 if gemm.search(line.split("#")[0])]
+    assert offenders == []

@@ -21,12 +21,12 @@ from mvfcn import (
     relu,
     resize_nearest,
     sigmoid,
-    transpose_alpha,
-    transpose_output_size,
 )
 from mvfcn import tensor
 from mvfcn.errors import ConfigError
 from mvfcn.tensor import same_floor_padding
+
+from conftest import transpose_alpha, transpose_output_size
 
 
 class TestSameFloorPadding:
