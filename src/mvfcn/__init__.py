@@ -19,7 +19,7 @@ from .graph import (
     infer_shapes,
     summary,
 )
-from .metrics import ConfusionCounts, FoMReport, confusion, evaluate_sequence, fom, fom_soft
+from .metrics import ConfusionCounts, FoMReport, confusion, evaluate_sequence, fom
 from .postproc import OtsuResult, otsu_threshold, remove_small_regions, threshold_global
 from .rng import EngineRng
 from .tensor import (

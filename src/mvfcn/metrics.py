@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 from .errors import DataError, ShapeError
 
-SOFT_EPS = 1e-8
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -64,21 +62,6 @@ def fom(counts: ConfusionCounts) -> float:
     if denom == 0:
         return 1.0
     return 2 * counts.tp / denom
-
-
-def fom_soft(x, y) -> float:
-    """Soft overlap 2*I/U with I = sum(x*y)+eps and U = sum(x+y)+eps.
-
-    Accepts probability maps or binary masks; on binary inputs it agrees
-    with :func:`fom` of the confusion counts up to eps.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ShapeError(f"shapes {x.shape} and {y.shape} differ")
-    intersection = float((x * y).sum()) + SOFT_EPS
-    union = float((x + y).sum()) + SOFT_EPS
-    return 2.0 * intersection / union
 
 
 @dataclass(frozen=True)

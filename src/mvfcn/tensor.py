@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError
 
@@ -92,8 +93,10 @@ class TransposeConvSpec(ConvSpec):
         return self.stride * h, self.stride * w
 
 
-# Bytes one row block's column matrix may take. Blocks hold at least one
-# output row, so a single row wider than this still runs, unsplit.
+# Bytes one row block's GEMM may span along the grid: its column matrix
+# plus the matrix on the other side (the block's output rows, its product,
+# or the small side's rows it correlates). Blocks hold at least one grid
+# row, so a single row wider than this still runs, unsplit.
 COLUMN_BUDGET = 4 << 20
 
 
@@ -181,16 +184,18 @@ def workers(n: int):
         _cores = saved
 
 
-# Elements of the largest array a pass computes (a map, or a column or
-# slab matrix) below which its parts run in order: smaller passes lose more
-# to the handoffs between threads than the second core gains them.
-POOL_MIN = 1 << 18
+# Elements of the largest array one part of a pass reads or writes (its
+# slice of a map, a concat input, or a conv block's column matrix or the
+# matrix its GEMM pairs with it) below which the pass runs its parts in
+# order: smaller parts lose more to the handoffs between threads than the
+# second core gains them.
+POOL_MIN = 1 << 17
 
 
 def _at_once(parts: int, size: int) -> int:
-    """How many of a pass's ``parts`` run at a time: one when the pass
-    computes fewer than POOL_MIN elements (``size``), when there is one
-    worker, or when there is no OpenBLAS to pin."""
+    """How many of a pass's ``parts`` run at a time: one when a part's
+    largest array (``size``) holds fewer than POOL_MIN elements, when there
+    is one worker, or when there is no OpenBLAS to pin."""
     if size < POOL_MIN or _PIN.blas is None:
         return 1
     return min(parts, _cores.workers)
@@ -237,10 +242,13 @@ def _run(fn, parts, size: int) -> list:
     return list(_parts(fn, parts, size))
 
 
-def _halves(c: int) -> list:
-    """The slices of the two halves of c channels, the parts of a pass that
-    splits by channel; one slice when c < 2."""
-    return [slice(0, c // 2), slice(c // 2, c)] if c > 1 else [slice(0, c)]
+def _by_halves(fn, x) -> list:
+    """``fn(ix)`` for the slice ``ix`` of each half of x's channels (axis 1),
+    the parts of a pass that splits by channel; one part when x has one
+    channel. The results in part order."""
+    c = x.shape[1]
+    halves = [slice(0, c // 2), slice(c // 2, c)] if c > 1 else [slice(0, c)]
+    return _run(fn, halves, x.size // c * (c - c // 2))
 
 
 def _elementwise(fn, *arrays) -> None:
@@ -249,8 +257,7 @@ def _elementwise(fn, *arrays) -> None:
     if arrays[0].ndim < 2:
         fn(*arrays)
     else:
-        _run(lambda ix: fn(*(a[:, ix] for a in arrays)), _halves(arrays[0].shape[1]),
-             arrays[0].size)
+        _by_halves(lambda ix: fn(*(a[:, ix] for a in arrays)), arrays[0])
 
 
 class _Scratch:
@@ -271,93 +278,83 @@ class _Scratch:
             self.free.append(item)
 
 
-def _taps(k: int, s: int, oh: int, ow: int):
-    """Walk the k*k kernel taps of a stride-``s`` window over an oh x ow
-    small-side grid, yielding (ki, kj, rows, cols): the slices of a padded
-    big-side window that tap (ki, kj) pairs with the grid, element for element.
-
-    This is the only place that knows the kernel-window arithmetic; every
-    convolution pass below is built on it.
-    """
-    for ki in range(k):
-        for kj in range(k):
-            yield (ki, kj, slice(ki, ki + (oh - 1) * s + 1, s),
-                   slice(kj, kj + (ow - 1) * s + 1, s))
-
-
 def _row_blocks(oh: int, row_bytes: int):
-    """Split oh small-side rows into (first_row, rows) blocks whose column
-    matrix, ``row_bytes`` per row, fits in COLUMN_BUDGET."""
+    """Split oh grid rows into (first_row, rows) blocks whose GEMM,
+    ``row_bytes`` per row, fits in COLUMN_BUDGET."""
     step = max(1, min(oh, COLUMN_BUDGET // row_bytes))
     for r0 in range(0, oh, step):
         yield r0, min(step, oh - r0)
 
 
 class _Windows:
-    """The big side (n, c, h, w) of a stride-``s`` k x k convolution, cut into
-    ``blocks``: (i, r0, rows) runs of image i's small-side rows, k*k*c*ow
-    elements a row under COLUMN_BUDGET, the tallest first; ``c`` counts
-    the channels that sets the rows (big's own by default). The only code
-    that derives the same-floor padding and the small side,
-    ceil(h / s) x ceil(w / s), from the big side's size."""
+    """A map ``src`` (n, c, h, w) read through a k x k window at stride s
+    over an oh x ow ``grid``, with ``pad`` = (top, left) zero rows and
+    columns before the map, cut into ``blocks``: (i, r0, rows) runs of
+    image i's grid rows, the tallest first. A block's columns and the
+    ``other`` channels its GEMM pairs with them take under COLUMN_BUDGET.
+    ``work`` counts the elements of the larger of the two for the tallest
+    block, and ``at_once`` how many blocks run at a time (:func:`_at_once`)."""
 
-    def __init__(self, big, k: int, s: int, c: int | None = None):
-        self.big, self.k, self.s = big, k, s
-        n, own_c, h, w = big.shape
-        self.pt, _, self.oh = same_floor_padding(h, k, s)
-        self.pl, _, self.ow = same_floor_padding(w, k, s)
-        rows = list(_row_blocks(self.oh, k * k * (c or own_c) * self.ow * big.itemsize))
-        self.blocks = [(i, r0, m) for i in range(n) for r0, m in rows]
+    def __init__(self, src, k: int, s: int, pad, grid, other: int):
+        self.src, self.k, self.s = src, k, s
+        (self.pt, self.pl), (self.oh, self.ow) = pad, grid
+        c = src.shape[1]
+        rows = list(_row_blocks(self.oh, (k * k * c + other) * self.ow * src.itemsize))
+        self.blocks = [(i, r0, m) for i in range(src.shape[0]) for r0, m in rows]
         self.win_w = (self.ow - 1) * s + k
-        self.cw = min(w, self.win_w - self.pl)  # map columns some window reaches
+        self.cw = min(src.shape[3], self.win_w - self.pl)  # map columns some window reaches
+        self.work = max(k * k * c, other) * rows[0][1] * self.ow
+        self.at_once = _at_once(len(self.blocks), self.work)
 
-    def buffer(self):
-        """A zeroed buffer for the tallest block's window."""
-        return np.zeros((self.big.shape[1], (self.blocks[0][2] - 1) * self.s + self.k,
-                         self.win_w), dtype=self.big.dtype)
+    @classmethod
+    def same_floor(cls, big, k: int, s: int, small_c: int):
+        """The big side (n, c, h, w) of a stride-``s`` k x k convolution
+        under same-floor padding, its grid the small side of ``small_c``
+        channels, ceil(h / s) x ceil(w / s)."""
+        pt, _, oh = same_floor_padding(big.shape[2], k, s)
+        pl, _, ow = same_floor_padding(big.shape[3], k, s)
+        return cls(big, k, s, (pt, pl), (oh, ow), small_c)
 
-    def load(self, buf, i: int, r0: int, rows: int):
-        """Fill ``buf`` with block (i, r0, rows)'s window, zero-padded as far
-        as the taps reach, and return (win, part, win_part): ``part`` is the
-        map region the window covers (a view of the big side) and
-        ``win_part`` its place in ``win``; ``part[...] = win_part`` stores it.
-        Pad columns stay zero unless a caller adds to them, so a buffer
-        serves one kind of pass."""
-        win_h = (rows - 1) * self.s + self.k
-        top = r0 * self.s - self.pt  # map row of the window's first row
-        lo, hi = max(top, 0), min(top + win_h, self.big.shape[2])
-        part = self.big[i, :, lo:hi, :self.cw]
-        win_part = buf[:, lo - top:hi - top, self.pl:self.pl + self.cw]
-        buf[:, :lo - top] = buf[:, hi - top:win_h] = 0  # pad rows
-        win_part[...] = part
-        return buf[:, :win_h], part, win_part
+    def scratch(self):
+        """A zeroed window buffer and a column buffer for the tallest block."""
+        c, rows = self.src.shape[1], self.blocks[0][2]
+        return (np.zeros((c, (rows - 1) * self.s + self.k, self.win_w), self.src.dtype),
+                np.empty(self.k * self.k * c * rows * self.ow, self.src.dtype))
+
+    def columns(self, scratch, i: int, r0: int, rows: int):
+        """Block (i, r0, rows)'s (k*k*c, rows*ow) column matrix, row
+        (ki, kj, ci) holding channel ci of tap (ki, kj): the block's window
+        is loaded into the window buffer, zero-padded as far as the taps
+        reach, and the columns are one strided copy of it."""
+        win, col_buf = scratch
+        k, s, ow = self.k, self.s, self.ow
+        c, h = self.src.shape[1:3]
+        win_h = (rows - 1) * s + k
+        top = r0 * s - self.pt  # map row of the window's first row
+        lo, hi = max(top, 0), min(top + win_h, h)
+        win[:, :lo - top] = win[:, hi - top:win_h] = 0  # pad rows
+        win[:, lo - top:hi - top, self.pl:self.pl + self.cw] = self.src[i, :, lo:hi, :self.cw]
+        cols = col_buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
+        sc, sr, sq = win.strides
+        np.copyto(cols, as_strided(win, cols.shape, (sr, sq, sc, s * sr, s * sq)))
+        return cols.reshape(k * k * c, -1)
 
 
-def _column_blocks(big, k: int, s: int, fn):
+def _column_blocks(windows: _Windows, fn):
     """Im2col, block by block on the pool: yield fn(i, r0, rows, cols) in
-    block order, cols being image i's (k*k*c, rows*ow) matrix whose row
-    (ki, kj, ci) is channel ci of tap (ki, kj), built in its worker's own
-    window and column buffers."""
-    n, c = big.shape[:2]
-    windows = _Windows(big, k, s)
-    size = k * k * c * n * windows.oh * windows.ow  # all blocks' columns
-    if k == s == 1:  # a 1x1 kernel's columns are the block's own rows
-        return _parts(lambda b: fn(*b, big[b[0], :, b[1]:b[1] + b[2]].reshape(c, -1)),
-                      windows.blocks, size)
-    ow, tallest = windows.ow, windows.blocks[0][2]
-    scratch = _Scratch(lambda: (windows.buffer(), np.empty(k * k * c * tallest * ow, big.dtype)),
-                       _at_once(len(windows.blocks), size))
+    block order, cols being the block's column matrix, built in its
+    worker's own buffers."""
+    src = windows.src
+    if windows.k == windows.s == 1:  # a 1x1 kernel's columns are the block's own rows
+        return _parts(lambda b: fn(*b, src[b[0], :, b[1]:b[1] + b[2]].reshape(src.shape[1], -1)),
+                      windows.blocks, windows.work)
+    scratch = _Scratch(windows.scratch, windows.at_once)
 
     def block(part):
-        i, r0, rows = part
-        with scratch() as (win_buf, col_buf):
-            win = windows.load(win_buf, i, r0, rows)[0]
-            cols = col_buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
-            for ki, kj, r, q in _taps(k, s, rows, ow):
-                cols[ki, kj] = win[:, r, q]
-            return fn(i, r0, rows, cols.reshape(k * k * c, -1))
+        with scratch() as buffers:
+            return fn(*part, windows.columns(buffers, *part))
 
-    return _parts(block, windows.blocks, size)
+    return _parts(block, windows.blocks, windows.work)
 
 
 def _weight_grad(small, big, weights, s: int):
@@ -368,17 +365,15 @@ def _weight_grad(small, big, weights, s: int):
     order."""
     a = small.shape[1]
     k = weights.shape[-1]
-    n, b = big.shape[:2]
-    blocks = len(_Windows(big, k, s).blocks)
-    acc = np.zeros((a, k * k * b), np.result_type(small, big))
+    windows = _Windows.same_floor(big, k, s, a)
+    acc = np.zeros((a, k * k * big.shape[1]), np.result_type(small, big))
     # product buffers made here, each given back once the caller has added it
-    free = [np.empty_like(acc)
-            for _ in range(_held(blocks, k * k * b * n * small.shape[2] * small.shape[3]))]
+    free = [np.empty_like(acc) for _ in range(_held(len(windows.blocks), windows.work))]
 
     def product(i, r0, rows, cols):
         return np.matmul(small[i, :, r0:r0 + rows].reshape(a, -1), cols.T, out=free.pop())
 
-    for p in _column_blocks(big, k, s, product):
+    for p in _column_blocks(windows, product):
         acc += p
         free.append(p)
     d_w = np.empty_like(weights)
@@ -410,7 +405,8 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
     x, weights = _check_conv_inputs(x, weights, spec)
     cout = spec.out_channels
     w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
-    out = np.empty((x.shape[0], cout, *spec.output_hw(*x.shape[2:])), dtype=x.dtype)
+    windows = _Windows.same_floor(x, spec.kernel, spec.stride, cout)
+    out = np.empty((x.shape[0], cout, windows.oh, windows.ow), dtype=x.dtype)
     if bias is not None:
         bias = np.asarray(bias, dtype=out.dtype)[:, None, None]
 
@@ -421,7 +417,7 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
         if bias is not None:
             o += bias
 
-    list(_column_blocks(x, spec.kernel, spec.stride, block))  # runs every block
+    list(_column_blocks(windows, block))
     return out
 
 
@@ -449,17 +445,42 @@ def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
 
 
-def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
-    """Transposed convolution: scatter each input neuron through the kernel.
+def _phase_weights(weights, s: int):
+    """The (s*s*cout, t*t*c) weights of a stride-``s`` transposed conv's
+    phases, t = ceil(k/s): row (fr, fc, o) and column (jr, jc, ci) hold tap
+    (s*(t-1-jr) + fr, s*(t-1-jc) + fc) of ``weights`` (c, cout, k, k), the
+    taps past the kernel zero."""
+    c, cout, k, _ = weights.shape
+    t = -(-k // s)
+    taps = np.zeros((c, cout, s * t, s * t), weights.dtype)
+    taps[:, :, :k, :k] = weights
+    taps = taps.reshape(c, cout, t, s, t, s)[:, :, ::-1, :, ::-1]
+    return taps.transpose(3, 5, 1, 2, 4, 0).reshape(s * s * cout, t * t * c)
 
-    Equivalent to dilating the input with stride-1 interleaved zeros plus
-    edge zeros, then convolving at unit stride; implemented directly as the
-    adjoint of :func:`conv2d_forward`, one part per half of the output
-    channels. Per block of input rows one GEMM gives every tap's slab,
-    scatter-added into the block's window of the output, which is loaded
-    with the earlier blocks' partial sums and stored back; a 1x1 kernel at
-    stride 1 is one GEMM per image straight into the output. Default size
-    (stride*h, stride*w).
+
+def _phases(size: int, s: int, p: int, lo: int, hi: int):
+    """Yield (f, out, grid) for each phase f of an output axis of ``size``
+    whose grid position u holds output s*u + f - p: the output positions
+    that grid positions [lo, hi) fill, and those grid positions counted
+    from lo, both as slices."""
+    for f in range(s):
+        u0 = max(lo, int(f < p))
+        u1 = min(hi, -(-(size - f + p) // s))
+        if u1 > u0:
+            yield f, slice(s * u0 + f - p, s * (u1 - 1) + f - p + 1, s), slice(u0 - lo, u1 - lo)
+
+
+def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
+    """Transposed convolution, the adjoint of :func:`conv2d_forward`, as a
+    gather.
+
+    At stride s the output splits into s*s phases, one per (row, column)
+    offset mod s. Each phase is a stride-1 convolution of the input with
+    that phase's taps of the flipped kernel, ceil(k/s) on a side (the
+    sub-pixel convolution of Shi et al., CVPR 2016). One GEMM per block of
+    input rows gives every phase's rows, which are interleaved into the
+    output (depth to space). At stride 1 it is :func:`conv2d_forward` with
+    the rotated kernel. Default size (stride*h, stride*w).
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -470,45 +491,35 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
         raise ShapeError(
             f"target {out_h}x{out_w} is not a stride-{s} preimage of input {h}x{w}"
         )
-    taps = weights.transpose(2, 3, 1, 0)  # (k, k, cout, c)
-    out = (np.empty if k == s == 1 else np.zeros)((n, cout, out_h, out_w), dtype=x.dtype)
-    halves = _halves(cout)
+    if s == 1:
+        return conv2d_forward(x, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), bias,
+                              ConvSpec(k, 1, c, cout))
+    t = -(-k // s)
+    # the output's same-floor padding, in whole grid steps and a remainder
+    (a_r, p_r), (a_c, p_c) = (divmod(same_floor_padding(length, k, s)[0], s)
+                              for length in (out_h, out_w))
+    ow = -(-(out_w + p_c) // s)
+    windows = _Windows(x, t, 1, (t - 1 - a_r, t - 1 - a_c), (-(-(out_h + p_r) // s), ow),
+                       s * s * cout)
+    w_mat = _phase_weights(weights, s)
+    tallest = s * s * cout * windows.blocks[0][2] * ow
+    products = _Scratch(lambda: np.empty(tallest, x.dtype), windows.at_once)
+    col_phases = list(_phases(out_w, s, p_c, 0, ow))
+    out = np.empty((n, cout, out_h, out_w), dtype=x.dtype)
+    if bias is not None:
+        bias = np.asarray(bias, dtype=out.dtype)[:, None, None]
 
-    def windows(ix):
-        # both halves cut the blocks of the whole pass, so each output
-        # element sums its taps in the same order
-        return _Windows(out[:, ix], k, s, cout)
+    def block(i, r0, rows, cols):
+        with products() as buf:
+            p = np.matmul(w_mat, cols, out=buf[:s * s * cout * rows * ow].reshape(-1, rows * ow))
+            p = p.reshape(s, s, cout, rows, ow)
+            if bias is not None:
+                p += bias
+            for fr, out_rows, grid_rows in _phases(out_h, s, p_r, r0, r0 + rows):
+                for fc, out_cols, grid_cols in col_phases:
+                    out[i, :, out_rows, out_cols] = p[fr, fc, :, grid_rows, grid_cols]
 
-    def make():  # sized for the larger half, the last
-        last = windows(halves[-1])
-        slab = k * k * last.big.shape[1] * last.blocks[0][2] * w
-        return last.buffer(), np.empty(slab, x.dtype)
-
-    size = k * k * cout * x.size // c  # all blocks' slabs
-    scratch = None if k == s == 1 else _Scratch(make, _at_once(len(halves), size))
-
-    def half(ix):
-        o = out[:, ix]
-        part_c = o.shape[1]
-        w_mat = taps[:, :, ix].reshape(-1, c)
-        if scratch is None:
-            for i in range(n):
-                np.matmul(w_mat, x[i].reshape(c, -1), out=o[i].reshape(part_c, -1))
-        else:
-            with scratch() as (win_buf, slab_buf):
-                part_windows = windows(ix)
-                for i, r0, rows in part_windows.blocks:
-                    win, part, win_part = part_windows.load(win_buf[:part_c], i, r0, rows)
-                    slabs = slab_buf[:k * k * part_c * rows * w].reshape(-1, rows * w)
-                    np.matmul(w_mat, x[i, :, r0:r0 + rows].reshape(c, -1), out=slabs)
-                    slabs = slabs.reshape(k, k, part_c, rows, w)
-                    for ki, kj, r, q in _taps(k, s, rows, w):
-                        win[:, r, q] += slabs[ki, kj]
-                    part[...] = win_part
-        if bias is not None:
-            o += np.asarray(bias, dtype=out.dtype)[ix, None, None]
-
-    _run(half, halves, size)
+    list(_column_blocks(windows, block))
     return out
 
 
@@ -625,7 +636,7 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
 
         # per-channel statistics: a channel half gives each channel's bytes
         mu, var, inv_std = map(np.concatenate,
-                               zip(*_run(normalize, _halves(x.shape[1]), x.size)))
+                               zip(*_by_halves(normalize, x)))
         del squares  # freed before the output is allocated
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
@@ -662,7 +673,7 @@ def _affine(x, scale, shift):
         np.multiply(x[:, ix], scale[ix].reshape(1, -1, 1, 1), out=y[:, ix])
         y[:, ix] += shift[ix].reshape(1, -1, 1, 1)
 
-    _run(half, _halves(x.shape[1]), x.size)
+    _by_halves(half, x)
     return y
 
 
@@ -697,7 +708,7 @@ def batchnorm_backward(d_out, state: BatchNormState, cache):
         return d_gamma, d_beta
 
     d_gamma, d_beta = map(np.concatenate,
-                          zip(*_run(half, _halves(d_out.shape[1]), d_out.size)))
+                          zip(*_by_halves(half, d_out)))
     return d_x, d_gamma, d_beta
 
 
@@ -719,7 +730,7 @@ def concat_channels(inputs):
     def copy(j):
         out[:, ends[j] - arrs[j].shape[1]:ends[j]] = arrs[j]
 
-    _run(copy, range(len(arrs)), out.size)  # one part per input
+    _run(copy, range(len(arrs)), max(a.size for a in arrs))  # one part per input
     return out
 
 

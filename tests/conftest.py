@@ -41,6 +41,25 @@ def transpose_output_size(in_size: int, kernel: int, stride: int,
     return stride * (in_size - 1) + alpha + kernel - 2 * padding
 
 
+SOFT_EPS = 1e-8
+
+
+def fom_soft(x, y) -> float:
+    """Soft overlap 2*I/U with I = sum(x*y)+eps and U = sum(x+y)+eps: the
+    oracle for the engine's hard FoM.
+
+    Accepts probability maps or binary masks; on binary inputs it agrees
+    with ``metrics.fom`` of the confusion counts up to eps.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ShapeError(f"shapes {x.shape} and {y.shape} differ")
+    intersection = float((x * y).sum()) + SOFT_EPS
+    union = float((x + y).sum()) + SOFT_EPS
+    return 2.0 * intersection / union
+
+
 def rel_err(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -38,13 +38,14 @@ from mvfcn import (
     train_loop,
 )
 from mvfcn.io import apply_state, save_checkpoint
-from mvfcn.metrics import confusion, fom, fom_soft, ConfusionCounts
+from mvfcn.metrics import confusion, fom, ConfusionCounts
 from mvfcn.postproc import HISTOGRAM_BINS
 from mvfcn.synth import make_rectangles_dataset
 from mvfcn.tensor import BatchNormState
 from mvfcn.train import evaluate_split, ordered_split
 
 from conftest import (
+    fom_soft,
     numerical_grad,
     rel_err,
     tiny_graph,

@@ -156,7 +156,7 @@ class TestAdjointIdentity:
 
 
 class TestConvCore:
-    """The four conv passes share one tap walk through two adjoint
+    """The four conv passes share one column builder through two adjoint
     relations; both must hold exactly, not just to rounding."""
 
     @staticmethod
@@ -200,7 +200,7 @@ def _tap_pairs(small_hw, big_hw, k, s):
     tap (ki, kj) pairs with big-side pixel (r, c) inside the map, under
     same-floor padding (ceil(big / s) small rows and columns, any odd
     padding row/column at the end). Plain loops, independent of the
-    engine's tap walk."""
+    engine's column builder."""
     (oh, ow), (h, w) = small_hw, big_hw
     pt = max((oh - 1) * s + k - h, 0) // 2
     pl = max((ow - 1) * s + k - w, 0) // 2
@@ -286,45 +286,35 @@ class TestConvOracle:
 
 
 class TestTransposeConvWindows:
-    """The transposed conv scatter-adds each row block into that block's
-    window of its output, loaded with the earlier blocks' partial sums, and
-    stores the window's map part back. Windows overlap by k - s rows; on
-    those rows the float sums must keep the order of one whole padded
-    buffer, bit for bit."""
+    """The transposed conv gathers: each row block of its input builds its
+    own columns and runs its own GEMM into its own output rows, and no
+    block reads what another wrote. So the output must not depend on how
+    the input rows are cut into blocks, bit for bit."""
 
-    @staticmethod
-    def _whole_buffer_scatter(x, weight, k, s, out_h, out_w):
-        """Scatter every block's tap slabs into one zero-padded buffer the
-        size of the whole output, in block then tap order, and crop it."""
-        n, c, h, w = x.shape
-        cout = weight.shape[1]
-        pt, pb, _ = tensor.same_floor_padding(out_h, k, s)
-        pl, pr, _ = tensor.same_floor_padding(out_w, k, s)
-        w_mat = weight.transpose(2, 3, 1, 0).reshape(-1, c)
-        buf = np.zeros((n, cout, out_h + pt + pb, out_w + pl + pr), x.dtype)
-        for i in range(n):
-            for r0, rows in tensor._row_blocks(h, k * k * cout * w * x.itemsize):
-                slabs = w_mat @ x[i, :, r0:r0 + rows].reshape(c, -1)
-                slabs = slabs.reshape(k, k, cout, rows, w)
-                for ki in range(k):
-                    for kj in range(k):
-                        buf[i, :, ki + r0 * s:ki + (r0 + rows - 1) * s + 1:s,
-                            kj:kj + (w - 1) * s + 1:s] += slabs[ki, kj]
-        return buf[:, :, pt:pt + out_h, pl:pl + out_w]
-
-    @pytest.mark.parametrize("k,s", [(3, 1), (3, 2), (9, 1)])
+    @pytest.mark.parametrize("k,s", [(3, 1), (3, 2), (5, 4), (9, 8)])
     def test_overlapping_windows_keep_the_summation_order(self, monkeypatch, k, s):
-        cin, cout, out_h, out_w = 5, 4, 17, 13
-        h, w = -(-out_h // s), -(-out_w // s)
+        # sgemm gives other bits to the columns past the last multiple of 16
+        # (its kernel's width), so each block spans whole 16-column groups
+        cin, cout, h, w = 5, 4, 6, 16
+        out_h, out_w = h * s - s // 2, w * s  # one axis padded, one not
         r = np.random.default_rng(k * 10 + s)
         x = r.normal(size=(2, cin, h, w)).astype(np.float32)
         weight = r.normal(size=(cin, cout, k, k)).astype(np.float32)
-        row_bytes = k * k * cout * w * x.itemsize
-        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 2 * row_bytes)
-        assert len(list(tensor._row_blocks(h, row_bytes))) > 3
-        got = convT2d_forward(x, weight, None, TransposeConvSpec(k, s, cin, cout),
-                              out_hw=(out_h, out_w))
-        assert np.array_equal(got, self._whole_buffer_scatter(x, weight, k, s, out_h, out_w))
+        bias = r.normal(size=cout).astype(np.float32)
+        spec = TransposeConvSpec(k, s, cin, cout)
+        cut, blocks = tensor._row_blocks, []
+
+        def counted(rows, row_bytes):
+            blocks.append(len(list(cut(rows, row_bytes))))
+            return cut(rows, row_bytes)
+
+        monkeypatch.setattr(tensor, "_row_blocks", counted)
+        runs = []
+        for budget in (1, 1 << 40):  # one-row blocks, then one block an image
+            monkeypatch.setattr(tensor, "COLUMN_BUDGET", budget)
+            runs.append(convT2d_forward(x, weight, bias, spec, out_hw=(out_h, out_w)))
+        assert blocks == [h, 1]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_paper_size_l27_allocates_no_padded_output(self):
         # L27 at 240x320, batch 1: the 18.75 MiB output plus buffers bounded

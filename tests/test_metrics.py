@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvfcn import ConfusionCounts, confusion, evaluate_sequence, fom, fom_soft
+from mvfcn import ConfusionCounts, confusion, evaluate_sequence, fom
 from mvfcn.errors import DataError, ShapeError
 from mvfcn.metrics import format_report, precision, recall
+
+from conftest import fom_soft
 
 
 class TestConfusion:

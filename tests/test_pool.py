@@ -65,22 +65,31 @@ def _conv_passes(batch):
     normal = _normal(3)
     spec3 = ConvSpec(3, 1, 5, 7)
     spec1 = ConvSpec(1, 1, 5, 3)
+    spec9 = ConvSpec(9, 1, 5, 4)
     spec_s2 = ConvSpec(3, 2, 5, 4)
     tspec = TransposeConvSpec(3, 2, 4, 5)
+    tspec4, tspec8 = TransposeConvSpec(5, 4, 4, 5), TransposeConvSpec(9, 8, 4, 5)
     tspec1 = TransposeConvSpec(1, 1, 3, 5)
     x = normal(batch, 5, 11, 9)
     w3, w1, w2 = normal(*spec3.weight_shape()), normal(*spec1.weight_shape()), \
         normal(*spec_s2.weight_shape())
+    w9 = normal(*spec9.weight_shape())
     wt, wt1 = normal(*tspec.weight_shape()), normal(*tspec1.weight_shape())
+    wt4, wt8 = normal(*tspec4.weight_shape()), normal(*tspec8.weight_shape())
     small = normal(batch, 4, 6, 5)
     return [
         ("conv3x3", lambda: conv2d_forward(x, w3, normal(7), spec3)),
         ("conv1x1", lambda: conv2d_forward(x, w1, np.arange(3, dtype=np.float32), spec1)),
         ("conv_backward", lambda: conv2d_backward(x, w3, spec3, normal(batch, 7, 11, 9))),
+        ("conv9x9_backward", lambda: conv2d_backward(x, w9, spec9, normal(batch, 4, 11, 9))),
         ("conv_s2_backward", lambda: conv2d_backward(x, w2, spec_s2, normal(batch, 4, 6, 5))),
         ("conv1x1_backward", lambda: conv2d_backward(x, w1, spec1, normal(batch, 3, 11, 9))),
         ("convT", lambda: convT2d_forward(small, wt, np.ones(5, np.float32), tspec,
                                           out_hw=(11, 9))),
+        ("convT_s4", lambda: convT2d_forward(normal(batch, 4, 6, 3), wt4, normal(5), tspec4,
+                                             out_hw=(23, 9))),
+        ("convT_s8", lambda: convT2d_forward(normal(batch, 4, 5, 2), wt8, normal(5), tspec8,
+                                             out_hw=(37, 9))),
         ("convT1x1", lambda: convT2d_forward(normal(batch, 3, 11, 9), wt1, None, tspec1)),
         ("convT_backward", lambda: convT2d_backward(small, wt, tspec, normal(batch, 5, 12, 10))),
     ]
@@ -125,9 +134,11 @@ def _pass_ids():
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("name", _pass_ids())
 def test_pooled_pass_bytes_equal_the_in_order_run(monkeypatch, batch, name):
-    # a small column budget cuts each image into an odd number of blocks
-    monkeypatch.setattr(tensor, "COLUMN_BUDGET", 3 * 3 * 5 * 9 * 4 * 4)
-    assert len(list(tensor._row_blocks(11, 3 * 3 * 5 * 9 * 4))) == 3
+    # a small column budget cuts each image into an odd number of blocks:
+    # conv3x3's 45-row columns and 7 output channels, 9 wide, 4 rows a block
+    row_bytes = (3 * 3 * 5 + 7) * 9 * 4
+    monkeypatch.setattr(tensor, "COLUMN_BUDGET", 4 * row_bytes)
+    assert len(list(tensor._row_blocks(11, row_bytes))) == 3
 
     def run():
         passes = dict(_conv_passes(batch) + _map_passes(batch))
@@ -189,6 +200,24 @@ def test_blas_threads_restored_when_a_part_fails():
         tensor._run(fail, range(5), 1)
     assert get() == before
     assert tensor._PIN.depth == 0
+
+
+@blas
+@pytest.mark.parametrize("shape,spec,pooled", [
+    ((8, 3, 48, 64), ConvSpec(3, 1, 3, 16), False),  # L2: 27 x 3072 columns a part
+    ((8, 16, 48, 64), ConvSpec(3, 2, 16, 16), False),  # L5: 144 x 768
+    ((1, 128, 240, 320), ConvSpec(1, 1, 128, 1), True),  # L32: reads 128 x 8000
+    ((8, 112, 48, 64), ConvSpec(3, 1, 112, 128), True),  # L30: 1008 x 896
+], ids=["L2-48x64-batch8", "L5-48x64-batch8", "L32-240x320-batch1", "L30-48x64-batch8"])
+def test_pool_judges_the_work_of_one_part(monkeypatch, shape, spec, pooled):
+    # many small parts lose more to the handoffs than the second core gains
+    with tensor.workers(2):
+        pool, submitted = tensor._cores.pool, []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
+        conv2d_forward(np.zeros(shape, np.float32), np.zeros(spec.weight_shape(), np.float32),
+                       None, spec)
+    assert bool(submitted) == pooled
 
 
 def test_only_tensor_runs_a_gemm():

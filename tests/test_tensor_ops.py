@@ -123,7 +123,7 @@ class TestTransposeConv:
                             spec, out_hw=(12, 12))
 
     def test_matches_dilate_then_unit_conv(self):
-        # scatter implementation == dilate input, add edge zeros, unit-stride conv
+        # phase gather == dilate input, add edge zeros, unit-stride conv
         r = np.random.default_rng(5)
         k, s = 3, 2
         x = r.normal(size=(1, 2, 4, 5))
