@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Write sha256 digests of the engine's outputs, to check that a change
+leaves every output byte as it was.
+
+It digests the files and stdout of scripts/run_pipeline_demo.py, the
+`mvfcn summary` text, a fixed-seed 2-epoch 48x64 train_loop (the history
+table and the best and last checkpoint bytes), one batch-2 240x320 train
+step (the score, each gradient, the dropout mask bits and the rng
+position after it) and one 240x320 infer score map. The JSON also holds the
+machine block of bench/machine.py, without the commit and the src/ line
+count, which differ between checkouts by design.
+
+Run it from the root of the checkout under test:
+
+    PYTHONPATH=src python3 scripts/digests.py > before.json
+    PYTHONPATH=src python3 scripts/digests.py --against before.json
+
+`--against FILE` prints each digest name whose value differs from FILE's.
+When the machine blocks match it exits 1 if any digest differs. When they
+do not, it prints "machine differs" and exits 0: BLAS results depend on
+the machine, so digests taken on two machines need not agree.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mvfcn import EngineRng, TrainConfig, backward, bce_loss, build_mvfcn, forward, train_loop
+from mvfcn.cli import main as cli
+from mvfcn.io import save_checkpoint
+from mvfcn.synth import make_rectangles_dataset
+
+SEED = 5
+# machine_info fields that differ between two checkouts on one machine
+PER_CHECKOUT = ("commit", "src_lines")
+
+
+def sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    elif isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def machine(root: Path) -> dict:
+    sys.path.insert(0, str(root))
+    from bench.machine import machine_info
+    info = machine_info(root)
+    return {k: v for k, v in info.items() if k not in PER_CHECKOUT}
+
+
+def pipeline_demo(root: Path) -> dict:
+    """The demo run in a fresh directory under the fixed name ``demo``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_pipeline_demo.py"), "--workdir", "demo"],
+            cwd=tmp, env=env, capture_output=True, text=True, check=True)
+        work = Path(tmp) / "demo"
+        out = {"demo/stdout": sha256(proc.stdout)}
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            out[f"demo/{path.relative_to(work).as_posix()}"] = sha256(path.read_bytes())
+    return out
+
+
+def summary_text() -> dict:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli(["summary"])
+    return {"summary": sha256(text.getvalue())}
+
+
+def short_training() -> dict:
+    samples = make_rectangles_dataset(12, (48, 64), seed=SEED)
+    cfg = TrainConfig(input_height=48, input_width=64, batch_size=4, max_epochs=2, seed=SEED)
+    result = train_loop(samples, cfg)
+    out = {"train_loop/history": sha256(result.history.as_table())}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("best", "last"):
+            path = Path(tmp) / f"{name}.ckpt"
+            save_checkpoint(path, getattr(result, name))
+            out[f"train_loop/{name}"] = sha256(path.read_bytes())
+    return out
+
+
+def paper_size_step() -> dict:
+    """One batch-2 240x320 train step, then an infer pass of a third frame
+    through the graph whose batch-norm statistics the step updated."""
+    samples = make_rectangles_dataset(3, (240, 320), seed=SEED)
+    graph = build_mvfcn()
+    graph.initialize_parameters(EngineRng(SEED))
+    rng = EngineRng(SEED + 1)
+    x = np.stack([s.image for s in samples[:2]])
+    y = np.stack([s.gt for s in samples[:2]])[:, None]
+    score, cache = forward(graph, x, mode="train", rng=rng)
+    out = {"step/score": sha256(score)}
+    (dropout_id,) = (layer.id for layer in graph.layers if layer.kind == "dropout")
+    out["step/mask"] = sha256(np.packbits(cache.extras[dropout_id]))
+    _, d_logits = bce_loss(cache.logits, y)
+    grads = backward(graph, cache, d_logits)
+    for lid in sorted(grads):
+        for name in sorted(grads[lid]):
+            out[f"step/grad/L{lid}.{name}"] = sha256(grads[lid][name])
+    out["step/rng"] = sha256(rng.state_words())
+    infer_score, _ = forward(graph, samples[2].image[None], mode="infer")
+    out["infer/score"] = sha256(infer_score)
+    return out
+
+
+def collect(root: Path) -> dict:
+    report = {"machine": machine(root), "digests": {}}
+    for part in (pipeline_demo(root), summary_text(), short_training(), paper_size_step()):
+        report["digests"].update(part)
+    return report
+
+
+def compare(ours: dict, theirs: dict) -> tuple[list[str], int]:
+    """The lines `--against` prints and its exit code: each digest name
+    whose value differs or that one side lacks, then "machine differs" when
+    the machine blocks do; 1 only when the machines match and a digest
+    differs."""
+    a, b = ours["digests"], theirs["digests"]
+    lines = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    if ours["machine"] != theirs["machine"]:
+        return lines + ["machine differs"], 0
+    return lines, 1 if lines else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", metavar="FILE", help="a JSON this script wrote to compare with")
+    args = parser.parse_args()
+    report = collect(Path.cwd())
+    if not args.against:
+        print(json.dumps(report, indent=1, sort_keys=True))
+        return 0
+    lines, code = compare(report, json.loads(Path(args.against).read_text()))
+    print("\n".join(lines) if lines else f"all {len(report['digests'])} digests equal")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,8 @@ from .graph import (
     infer_shapes,
     summary,
 )
-from .metrics import ConfusionCounts, FoMReport, confusion, evaluate_sequence, fom
-from .postproc import OtsuResult, otsu_threshold, remove_small_regions, threshold_global
+from .metrics import ConfusionCounts, confusion, evaluate_sequence, fom
+from .postproc import otsu_threshold, remove_small_regions, threshold_global
 from .rng import EngineRng
 from .tensor import (
     BatchNormState,
@@ -28,7 +28,6 @@ from .tensor import (
     TransposeConvSpec,
     batchnorm_backward,
     batchnorm_forward,
-    concat_backward,
     concat_channels,
     conv2d_backward,
     conv2d_forward,
@@ -45,11 +44,8 @@ from .tensor import (
 from .train import (
     AdamState,
     Sample,
-    SplitSpec,
     TrainConfig,
-    TrainResult,
     adam_step,
-    augment_pair,
     bce_loss,
     lr_at,
     ordered_split,

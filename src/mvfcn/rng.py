@@ -14,22 +14,16 @@ from .errors import CheckpointError
 STATE_WORDS = 10  # 4 words state + 4 words inc + has_uint32 + uinteger
 
 
-class EngineRng:
-    """Seeded PCG64 generator with an exactly serializable position."""
+class EngineRng(np.random.Generator):
+    """numpy's Generator on ``PCG64(seed)``, with an exactly serializable
+    position."""
 
     def __init__(self, seed: int = 0):
-        self._bitgen = np.random.PCG64(seed)
-        self.generator = np.random.Generator(self._bitgen)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
+        super().__init__(np.random.PCG64(seed))
 
     def state_words(self) -> np.ndarray:
         """Current stream position as 10 uint32 words."""
-        st = self._bitgen.state
+        st = self.bit_generator.state
         words = []
         for value in (st["state"]["state"], st["state"]["inc"]):
             words.extend((value >> (32 * i)) & 0xFFFFFFFF for i in range(4))
@@ -44,9 +38,9 @@ class EngineRng:
             raise CheckpointError(
                 f"rng state must be {STATE_WORDS} words, got {len(w)}"
             )
-        st = self._bitgen.state
+        st = self.bit_generator.state
         st["state"]["state"] = sum(w[i] << (32 * i) for i in range(4))
         st["state"]["inc"] = sum(w[4 + i] << (32 * i) for i in range(4))
         st["has_uint32"] = w[8]
         st["uinteger"] = w[9]
-        self._bitgen.state = st
+        self.bit_generator.state = st

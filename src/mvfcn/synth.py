@@ -10,14 +10,13 @@ from .io import save_image
 from .train import Sample
 
 
-def make_rectangles_dataset(count: int = 8, size=(64, 64), seed: int = 0,
-                            channels: int = 3) -> list[Sample]:
+def make_rectangles_dataset(count: int = 8, size=(64, 64), seed: int = 0) -> list[Sample]:
     """Generate ``count`` frames of textured noise with a bright rectangle."""
     h, w = size
     rng = np.random.Generator(np.random.PCG64(seed))
     samples = []
     for _ in range(count):
-        image = rng.uniform(0.0, 0.45, size=(channels, h, w)).astype(np.float32)
+        image = rng.uniform(0.0, 0.45, size=(3, h, w)).astype(np.float32)
         rh = int(rng.integers(h // 4, h // 2 + 1))
         rw = int(rng.integers(w // 4, w // 2 + 1))
         top = int(rng.integers(0, h - rh + 1))

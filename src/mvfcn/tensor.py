@@ -237,18 +237,13 @@ def _parts(fn, parts, size: int):
             wait(pending)
 
 
-def _run(fn, parts, size: int) -> list:
-    """:func:`_parts`, run to the end: the results in part order."""
-    return list(_parts(fn, parts, size))
-
-
 def _by_halves(fn, x) -> list:
     """``fn(ix)`` for the slice ``ix`` of each half of x's channels (axis 1),
     the parts of a pass that splits by channel; one part when x has one
     channel. The results in part order."""
     c = x.shape[1]
     halves = [slice(0, c // 2), slice(c // 2, c)] if c > 1 else [slice(0, c)]
-    return _run(fn, halves, x.size // c * (c - c // 2))
+    return list(_parts(fn, halves, x.size // c * (c - c // 2)))
 
 
 def _elementwise(fn, *arrays) -> None:
@@ -730,7 +725,7 @@ def concat_channels(inputs):
     def copy(j):
         out[:, ends[j] - arrs[j].shape[1]:ends[j]] = arrs[j]
 
-    _run(copy, range(len(arrs)), max(a.size for a in arrs))  # one part per input
+    list(_parts(copy, range(len(arrs)), max(a.size for a in arrs)))  # one part per input
     return out
 
 
@@ -752,10 +747,10 @@ def dropout(x, rate: float, rng, mode: str = TRAIN):
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if mode not in (TRAIN, INFER):
+        raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     if mode == INFER or rate == 0.0:
         return x, None
-    if mode != TRAIN:
-        raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     # chunk by chunk, the same doubles in the same stream order as one
     # uniform(size=x.shape) draw, with no float64 array of x's size
     mask = np.empty(x.shape, dtype=bool)

@@ -176,7 +176,7 @@ def test_blas_threads_pinned_in_a_pass_and_restored_after(caller):
     try:
         put(caller)
         with tensor.workers(2):
-            inside = tensor._run(lambda part: get(), range(4), 1)
+            inside = list(tensor._parts(lambda part: get(), range(4), 1))
         assert inside == [1, 1, 1, 1]
         assert get() == caller
         x = np.ones((1, 2, 5, 5), np.float32)
@@ -197,7 +197,7 @@ def test_blas_threads_restored_when_a_part_fails():
             raise ValueError("part 2")
 
     with tensor.workers(2), pytest.raises(ValueError, match="part 2"):
-        tensor._run(fail, range(5), 1)
+        list(tensor._parts(fail, range(5), 1))
     assert get() == before
     assert tensor._PIN.depth == 0
 

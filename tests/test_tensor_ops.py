@@ -311,6 +311,11 @@ class TestDropout:
         with pytest.raises(ConfigError):
             dropout(np.ones((1, 1, 2, 2)), 1.0, rng, "train")
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_bad_mode_rejected_at_every_rate(self, rng, rate):
+        with pytest.raises(ConfigError, match="mode"):
+            dropout(np.ones((1, 1, 2, 2)), rate, rng, "bogus")
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_float64_scale_formula(self, dtype):
         r = np.random.default_rng(3)
