@@ -147,12 +147,14 @@ def cmd_binarize(args) -> int:
     if not files:
         raise DataError(f"{scores_dir} holds no score maps")
     out_dir = Path(args.out)
+    outs = {idx: make_parent(out_dir / f"{path.stem}.pgm")  # fail before the first frame
+            for idx, path in files.items()}
     for idx, path in sorted(files.items()):
         score = load_scoremap(path) if path.suffix.lower() == ".f32" else load_image(path)[0, 0]
         frame_tau = otsu_threshold(score).tau if tau is None else tau
         mask = threshold_global(score, frame_tau)
         mask = remove_small_regions(mask, args.min_area, args.connectivity)
-        save_image(mask, out_dir / f"{path.stem}.pgm")
+        save_image(mask, outs[idx])
         if tau is None:
             print(f"frame {idx}: tau={frame_tau:.6f}")
     return 0
@@ -167,6 +169,7 @@ def cmd_eval(args) -> int:
     if lone:
         raise DataError(f"prediction/ground-truth misalignment: frame {lone[0]} is in "
                         f"only one of {pred_dir} and {gt_dir}")
+    report_path = make_parent(args.report)  # fail before the first frame
     roi_global = None
     if args.roi is not None:
         roi_global = load_image(args.roi)[0, 0] >= 0.5
@@ -184,7 +187,6 @@ def cmd_eval(args) -> int:
         print(f"frame {i}: fom={value:.4f}")
     print(f"aggregate: precision={report.precision:.4f} recall={report.recall:.4f} "
           f"fom={report.fom:.4f} (mean-of-frames {report.mean_fom:.4f})")
-    report_path = Path(args.report)
     write_file(report_path, (format_report(report) + "\n").encode("utf-8"))
     print(f"report: {report_path}")
     return 0

@@ -196,19 +196,6 @@ class ModelGraph:
                 yield layer.id, "gamma", st.gamma
                 yield layer.id, "beta", st.beta
 
-    def fingerprint(self) -> int:
-        """Architecture hash; identical tables give identical fingerprints
-        regardless of the parameter values."""
-        from .io import checksum64
-
-        rows = [f"in:{self.in_channels}:div:{self.input_divisor}"]
-        for l in self.layers:
-            rows.append(
-                f"{l.id}:{l.kind}:k{l.kernel}:s{l.stride}:c{l.out_channels}"
-                f":a{l.activation}:r{l.rate}:{','.join(map(str, l.inputs))}"
-            )
-        return checksum64("|".join(rows).encode())
-
 
 def build_mvfcn(dropout_rate: float = 0.3, bn_momentum: float = 0.99) -> ModelGraph:
     """Construct the canonical 32-layer multi-view network.

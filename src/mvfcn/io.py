@@ -22,14 +22,14 @@ Payloads are 32-bit words: IEEE-754 floats for tensors, raw unsigned words
 for the rng-position entry (role 6, layer 0). Roles 0-5 are weight, bias,
 gamma, beta, running_mean, running_var; role 7 is the optimizer step count
 and roles 8+r / 12+r carry the optimizer's first/second moments for the
-parameter with role r. The fingerprint hashes the architecture table, so a
+parameter with role r. ``fingerprint`` hashes the architecture table, so a
 checkpoint only loads into a graph with the identical layer layout.
 
 ``load_checkpoint`` checks the magic, version, checksum and entry framing,
 and records the file in the payload's ``source``. ``apply_state`` is the
 one way a payload enters a graph: before it copies anything,
 ``validate_payload`` checks the fingerprint, each tensor of the graph's
-state table present with its shape, any optimizer moment shaped like its
+entry table present with its shape, any optimizer moment shaped like its
 parameter, the step and rng entry sizes, and every float tensor it checks
 for NaN and inf.
 """
@@ -49,6 +49,9 @@ from .rng import STATE_WORDS
 
 MAGIC = b"MVFC"
 VERSION = 1
+_FILE_HEADER = struct.Struct("<4sIQI")  # magic, version, fingerprint, entry count
+_ENTRY_HEADER = struct.Struct("<HBB")   # layer_id, role, rank
+_CHECKSUM = struct.Struct("<Q")
 
 ROLE_RUNNING_MEAN = 4
 ROLE_RUNNING_VAR = 5
@@ -58,6 +61,16 @@ ADAM_M_BASE = 8
 ADAM_V_BASE = 12
 
 PARAM_ROLES = {"weight": 0, "bias": 1, "gamma": 2, "beta": 3}
+
+
+def fingerprint(graph) -> int:
+    """Architecture hash of ``graph``: its input channels, input divisor and
+    every layer row, dropout rate included; identical tables give identical
+    fingerprints regardless of the parameter values."""
+    rows = [f"in:{graph.in_channels}:div:{graph.input_divisor}"]
+    rows += (f"{l.id}:{l.kind}:k{l.kernel}:s{l.stride}:c{l.out_channels}"
+             f":a{l.activation}:r{l.rate}:{','.join(map(str, l.inputs))}" for l in graph.layers)
+    return checksum64("|".join(rows).encode())
 
 
 def checksum64(data: bytes) -> int:
@@ -94,38 +107,25 @@ def write_file(path, data: bytes, error=DataError) -> None:
 # PGM / PPM codec
 # ---------------------------------------------------------------------------
 
+# magic, width, height, maxval: each number follows any run of whitespace and
+# '#' comment lines and is followed by whitespace, one byte of which ends it all
+_PNM_HEADER = re.compile(rb"P([56])" + rb"(?:\s|#[^\n]*\n)*(\d+)(?=\s)" * 3 + rb"\s")
+
+
 def _read_pnm(path: Path):
     data = _file_op(path, DataError)
-    if len(data) < 2 or data[:1] != b"P" or data[1:2] not in (b"5", b"6"):
-        raise DataError(f"{path}: not a binary PGM/PPM file")
-    channels = 1 if data[1:2] == b"5" else 3
-    values = []
-    i = 2
-    while len(values) < 3:
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i] == ord("#"):
-            nl = data.find(b"\n", i)
-            i = len(data) if nl < 0 else nl + 1
-            continue
-        j = i
-        while j < len(data) and not data[j:j + 1].isspace():
-            j += 1
-        token = data[i:j]
-        if not token.isdigit():
-            raise DataError(f"{path}: malformed header token {token!r}")
-        values.append(int(token))
-        i = j
-    if i >= len(data) or not data[i:i + 1].isspace():
-        raise DataError(f"{path}: malformed header")
-    i += 1
-    width, height, maxval = values
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        problem = "malformed header" if data[:2] in (b"P5", b"P6") else "not a binary PGM/PPM file"
+        raise DataError(f"{path}: {problem}")
+    channels = 1 if header[1] == b"5" else 3
+    width, height, maxval = map(int, header.groups()[1:])
     if width < 1 or height < 1:
         raise DataError(f"{path}: empty image {width}x{height}")
     if maxval != 255:
         raise DataError(f"{path}: unsupported bit depth (maxval {maxval}, need 255)")
     need = width * height * channels
-    payload = data[i:i + need]
+    payload = data[header.end():header.end() + need]
     if len(payload) < need:
         raise DataError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
     pixels = np.frombuffer(payload, dtype=np.uint8)
@@ -297,20 +297,18 @@ class CheckpointPayload:
     source: str = field(default="checkpoint", compare=False)
 
 
-def _state_table(graph) -> dict[tuple[int, int], tuple[str, np.ndarray]]:
-    """(layer_id, role) -> (name, live array) for every tensor a checkpoint
-    of ``graph`` must hold: the parameters, then the batch-norm running
-    statistics."""
-    table = {(lid, PARAM_ROLES[name]): (name, arr) for lid, name, arr in graph.parameter_items()}
+def _state_entries(graph):
+    """Yield (key, name, live array, moment keys) for every tensor a
+    checkpoint of ``graph`` must hold: the parameters, whose moment keys map
+    each ``AdamState`` moment attribute to its entry key, then the batch-norm
+    running statistics, which have none."""
+    for lid, name, arr in graph.parameter_items():
+        role = PARAM_ROLES[name]
+        yield (lid, role), name, arr, {"m": (lid, ADAM_M_BASE + role),
+                                       "v": (lid, ADAM_V_BASE + role)}
     for lid, state in graph.bn_states.items():
-        table[(lid, ROLE_RUNNING_MEAN)] = ("running_mean", state.running_mean)
-        table[(lid, ROLE_RUNNING_VAR)] = ("running_var", state.running_var)
-    return table
-
-
-def _moment_maps(adam):
-    """The optimizer's (role base, moments keyed by (layer_id, name)) pairs."""
-    return ((ADAM_M_BASE, adam.m), (ADAM_V_BASE, adam.v))
+        yield (lid, ROLE_RUNNING_MEAN), "running_mean", state.running_mean, {}
+        yield (lid, ROLE_RUNNING_VAR), "running_var", state.running_var, {}
 
 
 def _entry_dtype(role: int) -> str:
@@ -320,30 +318,32 @@ def _entry_dtype(role: int) -> str:
 def snapshot_state(graph, rng=None, adam=None) -> CheckpointPayload:
     """Deep-copy the graph's parameters, batch-norm statistics, the rng
     position, and (optionally) the optimizer moments."""
-    payload = CheckpointPayload(fingerprint=graph.fingerprint(), entries={
-        key: arr.copy() for key, (_, arr) in _state_table(graph).items()})
+    payload = CheckpointPayload(fingerprint=fingerprint(graph))
+    entries = payload.entries
+    for key, name, arr, moment_keys in _state_entries(graph):
+        entries[key] = arr.copy()
+        for attr, moment_key in moment_keys.items() if adam is not None else ():
+            moment = getattr(adam, attr).get((key[0], name))
+            if moment is not None:
+                entries[moment_key] = moment.copy()
     if rng is not None:
-        payload.entries[(0, ROLE_RNG)] = rng.state_words()
+        entries[(0, ROLE_RNG)] = rng.state_words()
     if adam is not None:
-        payload.entries[(0, ROLE_ADAM_STEP)] = np.array([adam.t], dtype=np.float32)
-        for base, moments in _moment_maps(adam):
-            for (lid, name), arr in moments.items():
-                payload.entries[(lid, base + PARAM_ROLES[name])] = arr.copy()
+        entries[(0, ROLE_ADAM_STEP)] = np.array([adam.t], dtype=np.float32)
     return payload
 
 
 def save_checkpoint(path, payload: CheckpointPayload) -> None:
     """Serialize a payload; identical payloads produce byte-identical files."""
-    chunks = [MAGIC, struct.pack("<IQ", VERSION, payload.fingerprint),
-              struct.pack("<I", len(payload.entries))]
+    chunks = [_FILE_HEADER.pack(MAGIC, VERSION, payload.fingerprint, len(payload.entries))]
     for (lid, role) in sorted(payload.entries):
         arr = payload.entries[(lid, role)]
         dims = arr.shape if arr.ndim else (1,)
-        chunks.append(struct.pack("<HBB", lid, role, len(dims)))
+        chunks.append(_ENTRY_HEADER.pack(lid, role, len(dims)))
         chunks.append(struct.pack(f"<{len(dims)}I", *dims))
         chunks.append(np.ascontiguousarray(arr, dtype=_entry_dtype(role)).tobytes())
     body = b"".join(chunks)
-    write_file(path, body + struct.pack("<Q", checksum64(body)), CheckpointError)
+    write_file(path, body + _CHECKSUM.pack(checksum64(body)), CheckpointError)
 
 
 def load_checkpoint(path, graph=None) -> CheckpointPayload:
@@ -354,24 +354,23 @@ def load_checkpoint(path, graph=None) -> CheckpointPayload:
     """
     path = Path(path)
     data = _file_op(path, CheckpointError)
-    if len(data) < len(MAGIC) + 4 + 8 + 4 + 8:
+    end = len(data) - _CHECKSUM.size
+    if end < _FILE_HEADER.size:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:4]!r}")
-    if checksum64(data[:-8]) != struct.unpack("<Q", data[-8:])[0]:
+    magic, version, arch_hash, count = _FILE_HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
+    if checksum64(data[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated)")
-    version, fingerprint = struct.unpack_from("<IQ", data, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unknown format version {version}")
-    (count,) = struct.unpack_from("<I", data, 16)
-    payload = CheckpointPayload(fingerprint=fingerprint, source=str(path))
-    offset = 20
-    end = len(data) - 8
+    payload = CheckpointPayload(fingerprint=arch_hash, source=str(path))
+    offset = _FILE_HEADER.size
     for _ in range(count):
-        if offset + 4 > end:
+        if offset + _ENTRY_HEADER.size > end:
             raise CheckpointError(f"{path}: truncated entry table")
-        lid, role, rank = struct.unpack_from("<HBB", data, offset)
-        offset += 4
+        lid, role, rank = _ENTRY_HEADER.unpack_from(data, offset)
+        offset += _ENTRY_HEADER.size
         if offset + 4 * rank > end:
             raise CheckpointError(f"{path}: truncated entry dims")
         dims = struct.unpack_from(f"<{rank}I", data, offset)
@@ -394,10 +393,10 @@ def validate_payload(graph, payload: CheckpointPayload):
     """Refuse anything but an exact match to ``graph`` (see the module
     docstring for the list of checks), naming the file, layer and tensor."""
     source = payload.source
-    if payload.fingerprint != graph.fingerprint():
+    if payload.fingerprint != fingerprint(graph):
         raise CheckpointError(
             f"{source}: architecture fingerprint {payload.fingerprint:#018x} does "
-            f"not match the graph ({graph.fingerprint():#018x})"
+            f"not match the graph ({fingerprint(graph):#018x})"
         )
 
     def check(key, name, shape, required=False):
@@ -412,11 +411,10 @@ def validate_payload(graph, payload: CheckpointPayload):
         if not np.isfinite(got).all():
             raise CheckpointError(f"{where} holds a non-finite value")
 
-    for (lid, role), (name, arr) in _state_table(graph).items():
-        check((lid, role), name, arr.shape, required=True)
-        if name in PARAM_ROLES:
-            for base, moment in ((ADAM_M_BASE, "adam m"), (ADAM_V_BASE, "adam v")):
-                check((lid, base + role), f"{name} {moment}", arr.shape)
+    for key, name, arr, moment_keys in _state_entries(graph):
+        check(key, name, arr.shape, required=True)
+        for attr, moment_key in moment_keys.items():
+            check(moment_key, f"{name} adam {attr}", arr.shape)
     check((0, ROLE_ADAM_STEP), "adam step", (1,))
     rng_entry = payload.entries.get((0, ROLE_RNG))
     if rng_entry is not None and rng_entry.size != STATE_WORDS:
@@ -427,21 +425,21 @@ def apply_state(graph, payload: CheckpointPayload, rng=None, adam=None) -> None:
     """Validate a payload against the graph, then copy it in (and optionally
     restore the rng position and optimizer moments)."""
     validate_payload(graph, payload)
-    table = _state_table(graph)
-    for (lid, role), (_, arr) in table.items():
-        np.copyto(arr, payload.entries[(lid, role)])
-        if role == ROLE_RUNNING_VAR:
-            graph.bn_states[lid].initialized = True
-    if rng is not None and (0, ROLE_RNG) in payload.entries:
-        rng.set_state_words(payload.entries[(0, ROLE_RNG)])
-    if adam is not None and (0, ROLE_ADAM_STEP) in payload.entries:
-        adam.t = int(payload.entries[(0, ROLE_ADAM_STEP)][0])
-        for base, moments in _moment_maps(adam):
-            moments.clear()
-            for (lid, role), (name, _) in table.items():
-                moment = payload.entries.get((lid, base + role))
-                if name in PARAM_ROLES and moment is not None:
-                    moments[(lid, name)] = moment.copy()
+    entries = payload.entries
+    restore_adam = adam is not None and (0, ROLE_ADAM_STEP) in entries
+    if restore_adam:
+        adam.t = int(entries[(0, ROLE_ADAM_STEP)][0])
+        adam.m.clear()
+        adam.v.clear()
+    for key, name, arr, moment_keys in _state_entries(graph):
+        np.copyto(arr, entries[key])
+        if key[1] == ROLE_RUNNING_VAR:
+            graph.bn_states[key[0]].initialized = True
+        for attr, moment_key in moment_keys.items() if restore_adam else ():
+            if moment_key in entries:
+                getattr(adam, attr)[(key[0], name)] = entries[moment_key].copy()
+    if rng is not None and (0, ROLE_RNG) in entries:
+        rng.set_state_words(entries[(0, ROLE_RNG)])
 
 
 # ---------------------------------------------------------------------------

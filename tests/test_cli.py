@@ -444,6 +444,20 @@ class TestBinarize:
                        "--out", blocker) == 3
         assert "cannot write" in only_error_line(capsys)
 
+    def test_output_on_a_directory_exits_3_before_any_frame(self, tmp_path, score_dir, capsys):
+        from mvfcn.io import save_scoremap
+        score = np.full((20, 20), 0.2, dtype=np.float32)
+        score[2:8, 2:8] = 0.7
+        save_scoremap(score, score_dir / "in000002.f32")
+        out = tmp_path / "m"
+        (out / "in000002.pgm").mkdir(parents=True)
+        assert run_cli("binarize", "--scores", score_dir, "--method", "otsu",
+                       "--out", out) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "in000002.pgm: it is a directory" in captured.err
+        assert [p.name for p in out.iterdir()] == ["in000002.pgm"]
+
     def test_no_score_maps_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -514,6 +528,19 @@ class TestEval:
                        "--report", report) == 0
         assert "fom=1.000000" in report.read_text()
         assert capsys.readouterr().err == ""
+
+    def test_report_on_a_directory_exits_3_before_any_frame(self, tmp_path, capsys):
+        masks = [np.ones((6, 6), np.uint8)] * 2
+        self._write_masks(tmp_path / "pred", masks, "in")
+        self._write_masks(tmp_path / "gt", masks, "gt")
+        report = tmp_path / "report"
+        report.mkdir()
+        assert run_cli("eval", "--pred", tmp_path / "pred", "--gt", tmp_path / "gt",
+                       "--report", report) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{report}: it is a directory" in captured.err
+        assert list(report.iterdir()) == []
 
     def test_length_mismatch_exits_3(self, tmp_path):
         r = np.random.default_rng(1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mvfcn
-from mvfcn import EngineRng, build_mvfcn
+from mvfcn import EngineRng, build_mvfcn, io
 from mvfcn.errors import CheckpointError, ConfigError, DataError
 from mvfcn.io import (
     _CONFIG_KEYS,
@@ -91,12 +91,37 @@ class TestImageCodec:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
-        with pytest.raises(DataError):
+        message = f"^{re.escape(str(path))}: not a binary PGM/PPM file$"
+        with pytest.raises(DataError, match=message):
             load_image(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_image(tmp_path / "absent.pgm")
+
+    @pytest.mark.parametrize("header", [
+        b"P5# comment\n2 1\n255\n",
+        b"P5\r\n2\r\n1\r\n255\n",
+        b"P5\t2\t1\t255\t",
+        b"P52 1 255\n",  # no separator after the magic: the width is 2
+    ], ids=["comment_after_magic", "crlf", "tabs", "number_after_magic"])
+    def test_header_forms_accepted(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes([0, 128]))
+        tensor = load_image(path)
+        assert tensor.shape == (1, 1, 1, 2)
+        assert np.rint(tensor[0, 0, 0] * 255).tolist() == [0, 128]
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5 2#c 1 255\n\x00\x80", "malformed header"),
+        (b"P5 2 1 # no newline", "malformed header"),
+        (b"P", "not a binary PGM/PPM file"),
+    ], ids=["number_then_comment", "comment_to_eof", "short_magic"])
+    def test_header_forms_refused_naming_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            load_image(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
@@ -380,7 +405,7 @@ class TestCheckpoint:
 
     def test_fingerprint_pinned(self):
         # every version-1 file on disk carries this value
-        assert build_mvfcn().fingerprint() == 0x6a18ab48e7e1e7c7
+        assert io.fingerprint(build_mvfcn()) == 0x6a18ab48e7e1e7c7
 
     def test_saved_bytes_pinned(self, tmp_path):
         """Every role of the version-1 layout, from fixed values: a change to
@@ -516,16 +541,26 @@ class TestWriteBoundary:
         with pytest.raises(error, match="cannot write"):
             make_parent(blocker / "m.ckpt", error)
 
+    @staticmethod
+    def _lines_outside_io(pattern):
+        """module:line of each line matching ``pattern`` in a package module
+        other than io."""
+        package = Path(mvfcn.__file__).parent
+        return [f"{module.name}:{lineno}"
+                for module in sorted(package.glob("*.py")) if module.name != "io.py"
+                for lineno, line in enumerate(module.read_text().splitlines(), start=1)
+                if re.search(pattern, line)]
+
     def test_only_io_touches_the_file_system(self):
         # every read and write goes through io, which maps file-system failures
         # onto the documented error classes
-        call = re.compile(r"\b(read_bytes|read_text|write_bytes|write_text|mkdir)\b|\bopen\(")
-        package = Path(mvfcn.__file__).parent
-        offenders = [f"{module.name}:{lineno}"
-                     for module in sorted(package.glob("*.py")) if module.name != "io.py"
-                     for lineno, line in enumerate(module.read_text().splitlines(), start=1)
-                     if call.search(line)]
-        assert offenders == []
+        call = r"\b(read_bytes|read_text|write_bytes|write_text|mkdir)\b|\bopen\("
+        assert self._lines_outside_io(call) == []
+
+    def test_only_io_knows_the_checkpoint_encoding(self):
+        # the binary layouts, the checksum and the fingerprint it hashes live in io
+        encoding = r"^\s*(import|from)\s+(struct|zlib)\b|\bchecksum64\b"
+        assert self._lines_outside_io(encoding) == []
 
 
 # every accepted config key: (key, file value, field path, parsed value);
