@@ -6,14 +6,22 @@ It digests the files and stdout of scripts/run_pipeline_demo.py, the
 `mvfcn summary` text, a fixed-seed 2-epoch 48x64 train_loop (the history
 table and the best and last checkpoint bytes), one batch-2 240x320 train
 step (the score, each gradient, the dropout mask bits and the rng
-position after it) and one 240x320 infer score map. The JSON also holds the
-machine block of bench/machine.py, without the commit and the src/ line
-count, which differ between checkouts by design.
+position after it), one 240x320 infer score map and the per-frame
+post-processing. That part takes the Otsu result and mask of four seeded
+post_heavy score maps (bench/workloads.py), and for those masks and the
+FIXED_MASKS of tests/test_postproc.py the label maps, areas, cleanup masks
+and PGM bytes at both connectivities. The JSON also holds the machine
+block of bench/machine.py, without the commit and the src/ line count,
+which differ between checkouts by design.
 
 Run it from the root of the checkout under test:
 
     PYTHONPATH=src python3 scripts/digests.py > before.json
     PYTHONPATH=src python3 scripts/digests.py --against before.json
+
+The demo, the bench and the library come from the working directory; the
+test masks come from the script's own checkout. So to compare an older
+checkout whose script lacks a part, run this script from the older root.
 
 `--against FILE` prints each digest name whose value differs from FILE's.
 When the machine blocks match it exits 1 if any digest differs. When they
@@ -34,9 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from mvfcn import EngineRng, TrainConfig, backward, bce_loss, build_mvfcn, forward, train_loop
+from mvfcn import (EngineRng, TrainConfig, backward, bce_loss, build_mvfcn, forward,
+                   otsu_threshold, remove_small_regions, threshold_global, train_loop)
 from mvfcn.cli import main as cli
-from mvfcn.io import save_checkpoint
+from mvfcn.io import save_checkpoint, save_image
+from mvfcn.postproc import label_components
 from mvfcn.synth import make_rectangles_dataset
 
 SEED = 5
@@ -117,9 +127,36 @@ def paper_size_step() -> dict:
     return out
 
 
+def postproc_outputs() -> dict:
+    """Otsu and binarize on four post_heavy score maps, then labeling,
+    cleanup at the bench's minimum area and mask writing on those masks and
+    on the adversarial masks of the postproc tests."""
+    from bench.workloads import MIN_AREA, make_score_sequence
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from test_postproc import FIXED_MASKS
+    out, masks = {}, {}
+    for i, score in enumerate(make_score_sequence(4, SEED)[0]):
+        otsu = otsu_threshold(score)
+        out[f"postproc/speckle{i}/otsu"] = sha256(repr(otsu))
+        masks[f"speckle{i}"] = threshold_global(score, otsu.tau)
+    masks.update(FIXED_MASKS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mask.pgm"
+        for name, mask in masks.items():
+            for connectivity in (4, 8):
+                key = f"postproc/{name}/c{connectivity}"
+                labels, areas = label_components(mask, connectivity)
+                clean = remove_small_regions(mask, MIN_AREA, connectivity)
+                save_image(clean, path)
+                out.update({f"{key}/labels": sha256(labels), f"{key}/areas": sha256(areas),
+                            f"{key}/clean": sha256(clean), f"{key}/pgm": sha256(path.read_bytes())})
+    return out
+
+
 def collect(root: Path) -> dict:
     report = {"machine": machine(root), "digests": {}}
-    for part in (pipeline_demo(root), summary_text(), short_training(), paper_size_step()):
+    for part in (pipeline_demo(root), summary_text(), short_training(), paper_size_step(),
+                 postproc_outputs()):
         report["digests"].update(part)
     return report
 

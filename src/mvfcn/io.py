@@ -143,9 +143,12 @@ def load_image(path):
 def save_image(array, path):
     """Write a [0, 1]-valued array as 8-bit PGM/PPM; value = round(255 * v).
 
-    Accepts (h, w), (c, h, w), or (1, c, h, w) with c in {1, 3}.
+    Accepts (h, w), (c, h, w), or (1, c, h, w) with c in {1, 3}. A bool or
+    integer array encodes each value as clip(v, 0, 1) * 255.
     """
-    arr = np.asarray(array, dtype=np.float64)
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "biu":
+        arr = arr.astype(np.float64)
     if arr.ndim == 4 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim == 2:
@@ -155,9 +158,12 @@ def save_image(array, path):
     c, h, w = arr.shape
     if arr.size == 0:
         raise DataError(f"{path}: cannot encode an empty image {w}x{h}")
-    if not np.isfinite(arr).all():
+    if arr.dtype.kind != "f":
+        body = (arr > 0).astype(np.uint8) * 255
+    elif not np.isfinite(arr).all():
         raise DataError(f"{path}: cannot encode a non-finite value")
-    body = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    else:
+        body = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     interleaved = body.transpose(1, 2, 0).tobytes()
     magic = b"P5" if c == 1 else b"P6"
     write_file(path, magic + f"\n{w} {h}\n255\n".encode() + interleaved)

@@ -32,7 +32,11 @@ def otsu_threshold(score) -> OtsuResult:
     interior bin edges t/256, splitting bins < t from bins >= t. A map whose
     histogram occupies a single bin has no two classes to separate.
     """
-    score = np.asarray(score, dtype=np.float64)
+    score = np.asarray(score)
+    if score.dtype != np.float32:  # float32 * 256 is exact: the same bins
+        score = score.astype(np.float64)
+    if score.size == 0:
+        raise DataError("empty score map")
     if not (score.min() >= 0.0 and score.max() <= 1.0):  # NaN fails both
         raise DataError("score values must lie in [0, 1]")
     bins = np.minimum((score * HISTOGRAM_BINS).astype(np.int64), HISTOGRAM_BINS - 1)
@@ -61,25 +65,36 @@ def otsu_threshold(score) -> OtsuResult:
     )
 
 
-def label_components(mask, connectivity: int = 8):
-    """Label foreground components by horizontal runs: runs on consecutive
-    rows that touch (overlap, or meet diagonally under 8-connectivity) are
-    unioned, then each run labels its pixels. Components are numbered 1, 2,
-    ... in the raster order of their first pixel.
-
-    Returns (labels, areas) where labels is 0 for background and areas[k] is
-    the pixel count of component k (areas[0] is the background count).
-    """
+def _foreground(mask, connectivity: int):
+    """The bool foreground of a 2-d mask, after checking the connectivity."""
     if connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got shape {mask.shape}")
-    h, w = mask.shape
-    fg = mask != 0
-    edges = np.diff(np.pad(fg, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)   # runs in raster order, [start, end)
-    ends = np.nonzero(edges == -1)[1]
+    return mask != 0
+
+
+def label_components(mask, connectivity: int = 8):
+    """Label foreground components by horizontal runs: runs on consecutive
+    rows that touch (overlap, or meet diagonally under 8-connectivity) are
+    joined, then each run labels its pixels. Components are numbered 1, 2,
+    ... in the raster order of their first pixel.
+
+    The join is a whole-array union-find (Shiloach & Vishkin, 1982): each
+    round hooks the larger root of every touching pair onto the smaller one,
+    then pointer jumping points every run at its root. A root is thus always
+    its component's first run, and at most O(log runs) rounds are needed.
+
+    Returns (labels, areas) where labels is 0 for background and areas[k] is
+    the pixel count of component k (areas[0] is the background count).
+    """
+    fg = _foreground(mask, connectivity)
+    h, w = fg.shape
+    padded = np.pad(fg, ((0, 0), (1, 1)))
+    # changes alternate run start, run end [start, end) in raster order
+    rows, cols = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), w + 1)
+    rows, starts, ends = rows[::2], cols[::2], cols[1::2]
     # raster keys: rows w + 2 apart, so a reach of one column stays in its row
     key = rows * (w + 2)
     above = key - (w + 2)
@@ -90,23 +105,18 @@ def label_components(mask, connectivity: int = 8):
     count = stop - first
     lower = np.repeat(np.arange(len(starts)), count)
     upper = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-    parent = list(range(len(starts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]  # path halving
-        return a
-
-    for a, b in zip(upper.tolist(), lower.tolist()):
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)  # a root is its component's first run
-    root = np.array(parent, dtype=np.int64)
-    while (root[root] != root).any():
-        root = root[root]
+    root = np.arange(len(starts))
+    while (apart := root[upper] != root[lower]).any():
+        ra, rb = root[upper[apart]], root[lower[apart]]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
     run_label = np.cumsum(root == np.arange(len(root)))[root]
     labels = np.zeros((h, w), dtype=np.int64)
     labels[fg] = np.repeat(run_label, ends - starts)
-    return labels, np.bincount(labels.ravel())
+    areas = np.bincount(run_label, ends - starts, minlength=1).astype(np.int64)
+    areas[0] = h * w - areas.sum()
+    return labels, areas
 
 
 def remove_small_regions(mask, min_area: int = 50, connectivity: int = 8):
@@ -114,10 +124,7 @@ def remove_small_regions(mask, min_area: int = 50, connectivity: int = 8):
     a component of exactly ``min_area`` pixels survives."""
     if min_area < 0:
         raise ConfigError(f"min_area must be non-negative, got {min_area}")
-    if connectivity not in (4, 8):
-        raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
-    mask = np.asarray(mask)
-    out = (mask != 0).astype(np.uint8)
+    out = _foreground(mask, connectivity).astype(np.uint8)
     if min_area == 0 or not out.any():
         return out
     labels, areas = label_components(out, connectivity)

@@ -123,6 +123,17 @@ class TestImageCodec:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
             load_image(path)
 
+    @pytest.mark.parametrize("mask", [
+        np.eye(5, 6, dtype=bool),
+        np.eye(5, 6, dtype=np.uint8),
+        np.eye(5, 6, dtype=np.uint8) * 255,
+        np.eye(5, 6, dtype=np.int16) - np.tri(5, 6, -1, dtype=np.int16) * 300,
+    ], ids=["bool", "uint8", "uint8_255", "int16_negative"])
+    def test_integer_masks_write_the_bytes_of_their_float_copy(self, tmp_path, mask):
+        save_image(mask, tmp_path / "int.pgm")
+        save_image(mask.astype(np.float64), tmp_path / "float.pgm")
+        assert (tmp_path / "int.pgm").read_bytes() == (tmp_path / "float.pgm").read_bytes()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
         image = np.full((4, 5), 0.5)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvfcn import otsu_threshold, remove_small_regions, threshold_global
-from mvfcn.errors import ConfigError, DataError
+from mvfcn import otsu_threshold, postproc, remove_small_regions, threshold_global
+from mvfcn.errors import ConfigError, DataError, ShapeError
 from mvfcn.postproc import label_components
 
 from conftest import brute_force_otsu, flood_fill_components
@@ -62,6 +62,11 @@ class TestOtsu:
         score[2, 1] = value
         with pytest.raises(DataError, match=r"must lie in \[0, 1\]"):
             otsu_threshold(score)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (4, 0)])
+    def test_empty_map_rejected(self, shape):
+        with pytest.raises(DataError, match="empty score map"):
+            otsu_threshold(np.zeros(shape, np.float32))
 
     def test_near_constant_single_bin_rejected(self):
         with pytest.raises(DataError):
@@ -151,6 +156,27 @@ class TestRemoveSmallRegions:
         with pytest.raises(ConfigError, match="connectivity must be 4 or 8, got 5"):
             remove_small_regions(np.full((4, 4), fill, np.uint8), min_area, connectivity=5)
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    @pytest.mark.parametrize("fill", [0, 1])
+    def test_mask_not_2d_rejected_whatever_its_content(self, shape, fill):
+        mask = np.zeros(shape, np.uint8)
+        mask.flat[0] = fill
+        with pytest.raises(ShapeError, match="mask must be 2-d"):
+            remove_small_regions(mask, 5)
+
+    def test_labels_through_the_module_binding(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return label_components(*args)
+
+        monkeypatch.setattr(postproc, "label_components", counted)
+        mask = np.zeros((6, 6), np.uint8)
+        mask[1:3, 1:3] = 1
+        assert not remove_small_regions(mask, 5).any()
+        assert len(calls) == 1
+
     @given(seed=st.integers(0, 10_000), min_area=st.integers(1, 12),
            connectivity=st.sampled_from([4, 8]))
     @settings(max_examples=60, deadline=None)
@@ -194,6 +220,12 @@ class TestLabelComponents:
         assert labels.tolist() == [[0, 0, 1], [2, 0, 1], [2, 0, 0]]
         assert areas.tolist() == [5, 2, 2]
 
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_mask_has_a_zero_background_count(self, shape):
+        labels, areas = label_components(np.zeros(shape, np.uint8))
+        assert labels.shape == shape
+        assert areas.tolist() == [0]
+
     def test_full_pipeline_outputs_binary(self):
         score = np.random.default_rng(5).uniform(size=(20, 20))
         tau = otsu_threshold(score).tau
@@ -217,6 +249,49 @@ def _checkerboard(h, w):
     return (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(np.uint8)
 
 
+def _spiral(n):
+    """A one-pixel-wide clockwise square spiral, one pixel between turns."""
+    mask = np.zeros((n, n), np.uint8)
+    y = x = dy = turns = 0
+    dx = 1
+    mask[0, 0] = 1
+    while turns < 2:
+        ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        free = 0 <= ny < n and 0 <= nx < n and not mask[ny, nx]
+        if free and not (0 <= ay < n and 0 <= ax < n and mask[ay, ax]):
+            y, x, turns = ny, nx, 0
+            mask[y, x] = 1
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return mask
+
+
+def _serpentine(n):
+    """Full even rows linked at alternate ends: one component of 2n runs."""
+    mask = np.zeros((n, n), np.uint8)
+    mask[::2] = 1
+    mask[1::4, -1] = 1
+    mask[3::4, 0] = 1
+    return mask
+
+
+def _comb(n):
+    """Teeth on even columns that join only on the last row."""
+    mask = np.zeros((n, n), np.uint8)
+    mask[:, ::2] = 1
+    mask[-1] = 1
+    return mask
+
+
+def _nested_u(n):
+    """Concentric U shapes open at the top, one pixel apart."""
+    mask = np.zeros((n, n), np.uint8)
+    for lo in range(0, n // 2 - 1, 2):
+        hi = n - 1 - lo
+        mask[:hi + 1, lo] = mask[:hi + 1, hi] = mask[hi, lo:hi + 1] = 1
+    return mask
+
+
 FIXED_MASKS = {
     "row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], np.uint8),
     "column": np.array([[1], [0], [1], [1], [0], [1]], np.uint8),
@@ -225,6 +300,12 @@ FIXED_MASKS = {
     "checkerboard": _checkerboard(8, 11),
     "diagonal": np.eye(9, dtype=np.uint8),
     "antidiagonal": np.eye(9, dtype=np.uint8)[::-1].copy(),
+    # masks that take more than one hooking round or long pointer chains
+    "spiral": _spiral(64),
+    "serpentine": _serpentine(64),
+    "comb": _comb(64),
+    "nested_u": _nested_u(64),
+    "half_density": (np.random.default_rng(0).uniform(size=(240, 320)) < 0.5).astype(np.uint8),
 }
 
 
