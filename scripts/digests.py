@@ -6,8 +6,12 @@ It digests the files and stdout of scripts/run_pipeline_demo.py, the
 `mvfcn summary` text, a fixed-seed 2-epoch 48x64 train_loop (the history
 table and the best and last checkpoint bytes), one batch-2 240x320 train
 step (the score, each gradient, the dropout mask bits and the rng
-position after it), one 240x320 infer score map and the per-frame
-post-processing. That part takes the Otsu result and mask of four seeded
+position after it), one 240x320 infer score map, the conv passes on
+their own and the per-frame post-processing. The conv part runs both
+forwards, and the backward under both of its names, for each (k, s) pair
+of the MV-FCN layer table plus (1, 2) and (3, 3), at an odd and an even
+size, in float32 and float64, with the input gradient on and off. The
+post-processing part takes the Otsu result and mask of four seeded
 post_heavy score maps (bench/workloads.py), and for those masks and the
 FIXED_MASKS of tests/test_postproc.py the label maps, areas, cleanup masks
 and PGM bytes at both connectivities. The JSON also holds the machine
@@ -33,6 +37,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -42,9 +47,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mvfcn import (EngineRng, TrainConfig, backward, bce_loss, build_mvfcn, forward,
-                   otsu_threshold, remove_small_regions, threshold_global, train_loop)
+from mvfcn import (ConvSpec, EngineRng, TrainConfig, TransposeConvSpec, backward, bce_loss,
+                   build_mvfcn, conv2d_backward, conv2d_forward, convT2d_backward,
+                   convT2d_forward, forward, otsu_threshold, remove_small_regions,
+                   threshold_global, train_loop)
 from mvfcn.cli import main as cli
+from mvfcn.graph import CONV_KINDS
 from mvfcn.io import save_checkpoint, save_image
 from mvfcn.postproc import label_components
 from mvfcn.synth import make_rectangles_dataset
@@ -127,6 +135,36 @@ def paper_size_step() -> dict:
     return out
 
 
+def conv_outputs() -> dict:
+    """Both conv forwards and the backward, called by the name the graph
+    calls it by for each kind of layer, on random maps of 3 channels to 2.
+    The big side is 23x29 or 24x30, so the padding and the transposed
+    conv's phase offsets differ between the two sizes."""
+    pairs = {(layer.kernel, layer.stride) for layer in build_mvfcn().layers
+             if layer.kind in CONV_KINDS} | {(1, 2), (3, 3)}
+    r = np.random.default_rng(SEED)
+    out = {}
+    for (k, s), (h, w), dtype in itertools.product(sorted(pairs), ((23, 29), (24, 30)),
+                                                   (np.float32, np.float64)):
+        key = f"conv/k{k}s{s}/{h}x{w}/{np.dtype(dtype).name}"
+        big_hw, small_hw = (h, w), ConvSpec(k, s, 1, 1).output_hw(h, w)
+        passes = (("conv", ConvSpec(k, s, 3, 2), conv2d_forward, conv2d_backward, big_hw, {}),
+                  ("convT", TransposeConvSpec(k, s, 3, 2), convT2d_forward, convT2d_backward,
+                   small_hw, {"out_hw": big_hw}))
+        for name, spec, fwd, bwd, in_hw, kwargs in passes:
+            x, weights, bias = (r.normal(size=shape).astype(dtype)
+                                for shape in ((2, 3, *in_hw), spec.weight_shape(), (2,)))
+            y = fwd(x, weights, bias, spec, **kwargs)
+            out[f"{key}/{name}/forward"] = sha256(y)
+            d_out = r.normal(size=y.shape).astype(dtype)
+            for input_grad in (True, False):
+                grads = bwd(x, weights, spec, d_out, input_grad=input_grad)
+                for part, grad in zip(("d_x", "d_w", "d_b"), grads):
+                    out[f"{key}/{name}/backward/{part}/input_grad={input_grad}"] = sha256(
+                        repr(grad) if grad is None else grad)
+    return out
+
+
 def postproc_outputs() -> dict:
     """Otsu and binarize on four post_heavy score maps, then labeling,
     cleanup at the bench's minimum area and mask writing on those masks and
@@ -156,7 +194,7 @@ def postproc_outputs() -> dict:
 def collect(root: Path) -> dict:
     report = {"machine": machine(root), "digests": {}}
     for part in (pipeline_demo(root), summary_text(), short_training(), paper_size_step(),
-                 postproc_outputs()):
+                 conv_outputs(), postproc_outputs()):
         report["digests"].update(part)
     return report
 

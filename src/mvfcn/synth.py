@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 
 from .io import save_image
+from .rng import EngineRng
 from .train import Sample
 
 
 def make_rectangles_dataset(count: int = 8, size=(64, 64), seed: int = 0) -> list[Sample]:
     """Generate ``count`` frames of textured noise with a bright rectangle."""
     h, w = size
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = EngineRng(seed)
     samples = []
     for _ in range(count):
         image = rng.uniform(0.0, 0.45, size=(3, h, w)).astype(np.float32)

@@ -416,30 +416,6 @@ def conv2d_forward(x, weights, bias, spec: ConvSpec):
     return out
 
 
-def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
-    """Gradients of a scalar loss through :func:`conv2d_forward`.
-
-    d_x is exactly a transposed convolution of d_out with the same kernel.
-    Returns (d_x, d_weights, d_bias) with shapes matching the forward inputs;
-    d_x is None when ``input_grad`` is off.
-    """
-    x, weights = _check_conv_inputs(x, weights, spec)
-    n, _, h, w = x.shape
-    k, s = spec.kernel, spec.stride
-    d_out = np.asarray(d_out)
-    expected = (n, spec.out_channels, *spec.output_hw(h, w))
-    if d_out.shape != expected:
-        raise ShapeError(
-            f"upstream gradient shaped {d_out.shape}, forward produced {expected}")
-    d_w = _weight_grad(d_out, x, weights, s)
-    del x  # an input the caller holds no name for is freed before d_x
-    d_x = None
-    if input_grad:
-        adjoint = TransposeConvSpec(k, s, spec.out_channels, spec.in_channels)
-        d_x = convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w))
-    return d_x, d_w, d_out.sum(axis=(0, 2, 3))
-
-
 def _phase_weights(weights, s: int):
     """The (s*s*cout, t*t*c) weights of a stride-``s`` transposed conv's
     phases, t = ceil(k/s): row (fr, fc, o) and column (jr, jc, ci) hold tap
@@ -518,15 +494,18 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     return out
 
 
-def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
-                     input_grad: bool = True):
-    """Gradients through :func:`convT2d_forward`.
+def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):
+    """Gradients of a scalar loss through :func:`conv2d_forward`, or through
+    :func:`convT2d_forward` when ``spec`` is a :class:`TransposeConvSpec`.
 
-    d_x is exactly a forward convolution of d_out with the same kernel, or
-    None when ``input_grad`` is off.
+    The two passes are adjoint, so each one's d_x is the other's forward of
+    d_out with the same kernel. Of x and d_out, the small side is a stride-s
+    image of the big side: d_out for a convolution, x for a transposed one.
+    Returns (d_x, d_weights, d_bias) with shapes matching the forward inputs;
+    d_x is None when ``input_grad`` is off.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
-    n, c, h, w = x.shape
+    n, _, h, w = x.shape
     k, s = spec.kernel, spec.stride
     d_out = np.asarray(d_out)
     if d_out.ndim != 4 or d_out.shape[:2] != (n, spec.out_channels):
@@ -534,16 +513,24 @@ def convT2d_backward(x, weights, spec: TransposeConvSpec, d_out,
             f"upstream gradient shaped {d_out.shape} does not match "
             f"(n={n}, cout={spec.out_channels}, ...)"
         )
-    out_h, out_w = d_out.shape[2:]
-    adjoint = ConvSpec(k, s, spec.out_channels, spec.in_channels)
-    if adjoint.output_hw(out_h, out_w) != (h, w):
-        raise ShapeError(
-            f"upstream gradient {out_h}x{out_w} is not a stride-{s} image of {h}x{w}"
-        )
-    d_w = _weight_grad(x, d_out, weights, s)
-    del x  # as in conv2d_backward
-    d_x = conv2d_forward(d_out, weights, None, adjoint) if input_grad else None
+    transposed = isinstance(spec, TransposeConvSpec)
+    small, big = (x, d_out) if transposed else (d_out, x)
+    (sh, sw), (bh, bw) = small.shape[2:], big.shape[2:]
+    if (-(-bh // s), -(-bw // s)) != (sh, sw):
+        raise ShapeError(f"upstream gradient shaped {d_out.shape}: "
+                         f"{bh}x{bw} is not a stride-{s} image of {sh}x{sw}")
+    d_w = _weight_grad(small, big, weights, s)
+    del x, small, big  # an input the caller holds no name for is freed before d_x
+    d_x = None
+    if input_grad:
+        adjoint = (ConvSpec if transposed else TransposeConvSpec)(
+            k, s, spec.out_channels, spec.in_channels)
+        d_x = (conv2d_forward(d_out, weights, None, adjoint) if transposed
+               else convT2d_forward(d_out, weights, None, adjoint, out_hw=(h, w)))
     return d_x, d_w, d_out.sum(axis=(0, 2, 3))
+
+
+convT2d_backward = conv2d_backward
 
 
 def relu(x, out=None):
@@ -576,6 +563,10 @@ def sigmoid_backward(d_out, y):
     return d_out * y * (1.0 - y)
 
 
+# added to the variance under the square root in every batch norm, train or infer
+BN_EPS = 1e-3
+
+
 @dataclass
 class BatchNormState:
     """Per-channel scale/shift plus running statistics for inference."""
@@ -585,7 +576,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
     momentum: float = 0.99
-    eps: float = 1e-3
     initialized: bool = False
 
     @classmethod
@@ -625,7 +615,7 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
             # one centring pass feeds both: x.var centres again internally
             np.subtract(part, mu.reshape(1, -1, 1, 1), out=xhat_part)
             var = np.square(xhat_part, out=squares[:, ix]).mean(axis=(0, 2, 3))
-            inv_std = 1.0 / np.sqrt(var + state.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat_part *= inv_std.reshape(1, -1, 1, 1)
             return mu, var, inv_std
 
@@ -647,7 +637,7 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
                 "least one step or load them from a checkpoint"
             )
         # gamma * (x - mean) * inv_std + beta as one per-channel scale and shift
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         scale = state.gamma * inv_std
         shift = state.beta - state.running_mean * scale
         return _affine(x, scale, shift), None

@@ -47,8 +47,10 @@ def adam_step(graph: ModelGraph, grads, state: AdamState) -> None:
                 f"parameter is {param.shape}"
             )
         key = (lid, name)
-        m = state.m.setdefault(key, np.zeros_like(param))
-        v = state.v.setdefault(key, np.zeros_like(param))
+        for moments in (state.m, state.v):
+            if key not in moments:  # not setdefault: it would zero-fill on every step
+                moments[key] = np.zeros_like(param)
+        m, v = state.m[key], state.v[key]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

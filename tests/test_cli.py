@@ -171,6 +171,20 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", cfg,
                        "--out", tmp_path / "x.ckpt") == 2
 
+    @pytest.mark.parametrize("line, match", [
+        ("seed 9", "expected 'key = value'"),
+        ("augment = maybe", "expected true/false"),
+        ("gt_exclude = 1,x", "expected comma-separated integers"),
+        ("seed = nine", "bad value for seed"),
+    ], ids=["no_equals", "bool", "int_list", "int"])
+    def test_unparsable_config_line_exits_2(self, tmp_path, dataset_tree, capsys, line, match):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"input_height = 32\n{line}\n")
+        assert run_cli("train", "--data", dataset_tree, "--config", cfg,
+                       "--out", tmp_path / "x.ckpt") == 2
+        err = only_error_line(capsys)
+        assert "bad.cfg:2:" in err and match in err
+
     def test_non_utf8_config_exits_2(self, tmp_path, dataset_tree, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"# caf\xe9\nseed = 9\n")
@@ -212,6 +226,13 @@ class TestTrain:
     def test_missing_dataset_exits_3(self, tmp_path, config_file):
         assert run_cli("train", "--data", tmp_path / "absent", "--config",
                        config_file, "--out", tmp_path / "x.ckpt") == 3
+
+    def test_ground_truth_without_input_frame_exits_3(self, tmp_path, config_file, capsys):
+        root = write_dataset_tree(make_rectangles_dataset(2, (16, 16), seed=1), tmp_path / "d")
+        save_image(np.zeros((16, 16), np.float32), root / "groundtruth" / "gt000007.pgm")
+        assert run_cli("train", "--data", root, "--config", config_file,
+                       "--out", tmp_path / "x.ckpt") == 3
+        assert "ground-truth frames [7] have no input frame" in only_error_line(capsys)
 
 
 class TestInfer:
@@ -286,6 +307,13 @@ class TestInfer:
     def test_unreadable_input_exits_3(self, tmp_path, trained_ckpt):
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
                        tmp_path / "nope.ppm", "--out", tmp_path / "o") == 3
+
+    def test_zero_width_frame_exits_3(self, tmp_path, trained_ckpt, capsys):
+        frame = tmp_path / "thin.pgm"
+        frame.write_bytes(b"P5\n0 4\n255\n")
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in", frame,
+                       "--out", tmp_path / "o") == 3
+        assert "thin.pgm: empty image 0x4" in only_error_line(capsys)
 
     def test_grayscale_frame_scores_as_three_equal_planes(self, tmp_path, trained_ckpt):
         from mvfcn.io import save_image
@@ -413,6 +441,13 @@ class TestBinarize:
         assert run_cli("binarize", "--scores", score_dir, "--method", "global:0.5",
                        "--out", tmp_path / "m") == 3
         assert "cannot read" in capsys.readouterr().err
+
+    def test_sidecar_with_wrong_magic_exits_3(self, tmp_path, score_dir, capsys):
+        (score_dir / "in000002.f32").write_bytes(b"MVSX" + np.array([2, 2], "<u4").tobytes()
+                                                 + np.zeros(4, "<f4").tobytes())
+        assert run_cli("binarize", "--scores", score_dir, "--method", "global:0.5",
+                       "--out", tmp_path / "m") == 3
+        assert "in000002.f32: not a score-map sidecar" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["otsu", "global:0.5"])
     def test_non_finite_sidecar_exits_3(self, tmp_path, score_dir, capsys, method):

@@ -6,6 +6,7 @@ and demands relative error below 1e-3.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestConvGradients:
             with pytest.raises(ShapeError):
                 conv2d_backward(x, w, spec, np.zeros(shape))
 
+    def test_upstream_spatial_mismatch_message(self):
+        spec = ConvSpec(3, 2, 1, 1)
+        with pytest.raises(ShapeError, match=r"upstream gradient shaped \(1, 1, 4, 3\): "
+                                             r"6x5 is not a stride-2 image of 4x3"):
+            conv2d_backward(np.zeros((1, 1, 6, 5)), np.zeros(spec.weight_shape()), spec,
+                            np.zeros((1, 1, 4, 3)))
+
+    def test_one_backward_under_both_names(self):
+        import mvfcn
+        for module in (mvfcn, tensor, graph_module):
+            assert module.convT2d_backward is module.conv2d_backward is tensor.conv2d_backward
+
 
 class TestTransposeConvGradients:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -156,8 +169,8 @@ class TestAdjointIdentity:
 
 
 class TestConvCore:
-    """The four conv passes share one column builder through two adjoint
-    relations; both must hold exactly, not just to rounding."""
+    """Both forwards and the one backward share one column builder through
+    two adjoint relations; both must hold exactly, not just to rounding."""
 
     @staticmethod
     def _case(k, s, h, w):
@@ -187,6 +200,31 @@ class TestConvCore:
         d_t, d_wt, _ = convT2d_backward(d_out, weight, tspec, x)
         assert np.array_equal(d_w, d_wt)
         assert np.array_equal(d_t, conv2d_forward(x, weight, None, spec))
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv", "convT"])
+    def test_input_is_freed_before_d_x(self, monkeypatch, transposed):
+        # an input only the backward holds (the graph's rebuilt L29 map) is
+        # released once the weight gradient is done, before d_x is allocated
+        spec = (TransposeConvSpec if transposed else ConvSpec)(3, 2, 2, 3)
+        x_hw, d_hw = ((3, 4), (6, 8)) if transposed else ((6, 8), (3, 4))
+        refs = []
+
+        def fresh_input():
+            x = np.ones((1, 2, *x_hw))
+            refs.append(weakref.ref(x))
+            return x
+
+        name = "conv2d_forward" if transposed else "convT2d_forward"
+        adjoint_forward = getattr(tensor, name)
+
+        def checked(*args, **kwargs):
+            assert refs[0]() is None, "the input outlived its weight gradient"
+            return adjoint_forward(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, name, checked)
+        d_x, _, _ = tensor.conv2d_backward(fresh_input(), np.ones(spec.weight_shape()), spec,
+                                           np.ones((1, 3, *d_hw)))
+        assert d_x.shape == (1, 2, *x_hw)
 
     def test_conv_backward_rejects_misshaped_weights(self):
         spec = ConvSpec(3, 2, 2, 3)
@@ -519,7 +557,7 @@ class TestBatchNormGradients:
         gamma = state.gamma.reshape(1, -1, 1, 1)
         beta = state.beta.reshape(1, -1, 1, 1)
         mu = x.mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + state.eps)
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + tensor.BN_EPS)
         xhat = (x - mu.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
         m = x.shape[0] * x.shape[2] * x.shape[3]
         dxhat = d_out * gamma
@@ -600,6 +638,31 @@ class TestGraphGradients:
 
                 fd = numerical_grad(loss, param)
                 assert rel_err(grads[lid][name], fd) < TOL, (lid, name)
+
+    def test_sigmoid_on_a_hidden_conv(self):
+        # a sigmoid that is not the final activation is chained through
+        graph = to_float64(_init_graph(ModelGraph([
+            LayerSpec(1, "input"),
+            LayerSpec(2, "conv", (1,), 3, 1, 3, "sigmoid"),
+            LayerSpec(3, "convT", (2,), 3, 2, 2, "sigmoid"),
+            LayerSpec(4, "conv", (3,), 3, 2, 1, "sigmoid"),
+        ], in_channels=2, input_divisor=1), 3))
+        r = np.random.default_rng(403)
+        x = r.normal(size=(2, 2, 5, 5))
+        target = (r.uniform(size=(2, 1, 5, 5)) > 0.5).astype(np.float64)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(0))
+        grads = backward(graph, cache, bce_loss(cache.logits, target)[1])
+        for lid in (2, 3):
+            param = graph.params[lid]["weight"]
+
+            def loss(values, param=param):
+                saved = param.copy()
+                np.copyto(param, values)
+                _, c = forward(graph, x, mode="train", rng=EngineRng(0))
+                np.copyto(param, saved)
+                return bce_loss(c.logits, target)[0]
+
+            assert rel_err(grads[lid]["weight"], numerical_grad(loss, param)) < TOL, lid
 
     def test_zero_upstream_gives_zero_everywhere(self):
         graph = _init_graph(tiny_graph(), 0)

@@ -127,6 +127,24 @@ class TestStructure:
         with pytest.raises(ShapeError, match="only conv layers take an activation"):
             LayerSpec(3, kind, (2,), activation="relu")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(kind="pool", inputs=(1,)), "unknown layer kind 'pool'"),
+        (dict(kind="conv", inputs=(1,), kernel=3, stride=1, out_channels=4, activation="tanh"),
+         "unknown activation 'tanh'"),
+        (dict(kind="conv", inputs=(1, 2), kernel=3, stride=1, out_channels=4),
+         "conv layers take exactly one input"),
+        (dict(kind="convT", inputs=(1,), kernel=3, out_channels=4),
+         "conv layers need kernel/stride/channels"),
+        (dict(kind="input", inputs=(1,)), "input layers take no inputs"),
+        (dict(kind="concat"), "concat needs at least one input"),
+        (dict(kind="dropout", inputs=(1,)), "dropout rate must be in"),
+        (dict(kind="dropout", inputs=(1,), rate=1.0), "dropout rate must be in"),
+    ], ids=["kind", "activation", "conv_inputs", "conv_fields", "input_inputs", "no_inputs",
+            "no_rate", "rate_one"])
+    def test_layer_spec_refusals(self, kwargs, match):
+        with pytest.raises(ShapeError, match=match):
+            LayerSpec(3, **kwargs)
+
     def test_even_kernel_rejected_at_construction(self):
         # the conv specs are built and checked once, before any parameter exists
         with pytest.raises(ShapeError, match="odd"):
@@ -165,6 +183,16 @@ class TestShapeInference:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             infer_shapes(build_mvfcn(), (4, 240, 320))
+
+    def test_concat_spatial_disagreement_rejected(self):
+        # at an odd size the stride-2 round trip comes back one row and column larger
+        graph = ModelGraph([LayerSpec(1, "input"), LayerSpec(2, "conv", (1,), 3, 2, 4),
+                            LayerSpec(3, "convT", (2,), 3, 2, 4), LayerSpec(4, "concat", (3, 1))],
+                           input_divisor=1)
+        assert infer_shapes(graph, (3, 6, 8))[4] == (7, 6, 8)
+        with pytest.raises(ShapeError, match=r"layer 4: concat inputs disagree spatially: "
+                                             r"\[\(4, 6, 6\), \(3, 5, 5\)\]"):
+            infer_shapes(graph, (3, 5, 5))
 
     def test_matches_runtime_shapes(self):
         graph = build_mvfcn()
@@ -241,6 +269,19 @@ class TestForward:
         graph.initialize_parameters(EngineRng(0))
         with pytest.raises(ShapeError):
             forward(graph, np.zeros((1, 3, 30, 32), np.float32))
+
+    def test_input_of_another_rank_rejected(self):
+        graph = tiny_graph()
+        graph.initialize_parameters(EngineRng(0))
+        with pytest.raises(ShapeError, match=r"input must be rank-4, got \(2, 4, 4\)"):
+            forward(graph, np.zeros((2, 4, 4), np.float32))
+
+    def test_backward_refuses_an_infer_cache(self):
+        graph = tiny_graph()
+        graph.initialize_parameters(EngineRng(0))
+        score, cache = forward(graph, np.zeros((1, 2, 4, 4), np.float32), mode="infer")
+        with pytest.raises(RuntimeError, match="needs the cache of a train-mode forward"):
+            backward(graph, cache, np.ones_like(score))
 
     def test_fanout_graph_runs(self):
         graph = fanout_graph()

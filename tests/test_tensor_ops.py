@@ -199,7 +199,7 @@ class TestBatchNorm:
         var = x.var(axis=(0, 2, 3))
         state = BatchNormState.create(3)
         state.beta[:] = mu
-        state.gamma[:] = np.sqrt(var + state.eps)
+        state.gamma[:] = np.sqrt(var + tensor.BN_EPS)
         y, _ = batchnorm_forward(x, state, "train")
         assert np.abs(y - x).max() < 1e-5
 
@@ -212,7 +212,7 @@ class TestBatchNorm:
         # oracle: the mean and x.var, which centres x a second time
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        expected_inv_std = 1.0 / np.sqrt(var + state.eps)
+        expected_inv_std = 1.0 / np.sqrt(var + tensor.BN_EPS)
         expected_xhat = x - mu.reshape(1, -1, 1, 1)
         expected_xhat *= expected_inv_std.reshape(1, -1, 1, 1)
         fresh = BatchNormState.create(4, dtype=dtype)
@@ -249,7 +249,7 @@ class TestBatchNorm:
         x = r.normal(1.0, 3.0, size=(2, 5, 6, 7)).astype(dtype)
         y, cache = batchnorm_forward(x, state, "infer")
         mean = state.running_mean.reshape(1, -1, 1, 1)
-        inv_std = (1.0 / np.sqrt(state.running_var + state.eps)).reshape(1, -1, 1, 1)
+        inv_std = (1.0 / np.sqrt(state.running_var + tensor.BN_EPS)).reshape(1, -1, 1, 1)
         expected = (state.gamma.reshape(1, -1, 1, 1) * ((x - mean) * inv_std)
                     + state.beta.reshape(1, -1, 1, 1))
         assert cache is None and y.dtype == dtype

@@ -92,6 +92,21 @@ class TestAdam:
             delta = arr - before[(lid, name)]
             assert np.allclose(delta, -0.01 / (1 + state.eps), rtol=1e-6)
 
+    def test_moments_are_made_on_the_first_step_only(self, monkeypatch):
+        graph = self._graph()
+        state = AdamState(lr=0.01)
+        adam_step(graph, self._unit_grads(graph), state)
+        moments = {key: (state.m[key], state.v[key]) for key in state.m}
+        assert len(moments) == len(list(graph.parameter_items())) == len(state.v)
+
+        def no_new_moment(*args, **kwargs):
+            raise AssertionError("a later step built a moment array")
+
+        monkeypatch.setattr(np, "zeros_like", no_new_moment)
+        adam_step(graph, self._unit_grads(graph), state)
+        for key, (m, v) in moments.items():
+            assert state.m[key] is m and state.v[key] is v
+
     def test_zero_gradients_leave_parameters_fixed(self):
         graph = self._graph()
         before = {(l, n): a.copy() for l, n, a in graph.parameter_items()}
