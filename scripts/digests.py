@@ -10,7 +10,8 @@ position after it), one 240x320 infer score map, the conv passes on
 their own and the per-frame post-processing. The conv part runs both
 forwards, and the backward under both of its names, for each (k, s) pair
 of the MV-FCN layer table plus (1, 2) and (3, 3), at an odd and an even
-size, in float32 and float64, with the input gradient on and off. The
+size, in float32 and float64, with the input gradient on and off, all of
+it twice: under the default COLUMN_BUDGET and under a budget of 1. The
 post-processing part takes the Otsu result and mask of four seeded
 post_heavy score maps (bench/workloads.py), and for those masks and the
 FIXED_MASKS of tests/test_postproc.py the label maps, areas, cleanup masks
@@ -49,7 +50,7 @@ import numpy as np
 
 from mvfcn import (ConvSpec, EngineRng, TrainConfig, TransposeConvSpec, backward, bce_loss,
                    build_mvfcn, conv2d_backward, conv2d_forward, convT2d_backward,
-                   convT2d_forward, forward, otsu_threshold, remove_small_regions,
+                   convT2d_forward, forward, otsu_threshold, remove_small_regions, tensor,
                    threshold_global, train_loop)
 from mvfcn.cli import main as cli
 from mvfcn.graph import CONV_KINDS
@@ -138,8 +139,22 @@ def paper_size_step() -> dict:
 def conv_outputs() -> dict:
     """Both conv forwards and the backward, called by the name the graph
     calls it by for each kind of layer, on random maps of 3 channels to 2.
-    The big side is 23x29 or 24x30, so the padding and the transposed
-    conv's phase offsets differ between the two sizes."""
+    The big side is 23x29 or 24x30, so the padding, and with it how far the
+    transposed conv's grid overhangs the output it crops, differ between the
+    two sizes. Each map fits in one row block under the default
+    COLUMN_BUDGET, so every pass runs again under a budget of 1, one grid
+    row per block, with the same inputs (keys ending /row-blocks)."""
+    out, default = {}, tensor.COLUMN_BUDGET
+    try:
+        for budget, suffix in ((default, ""), (1, "/row-blocks")):
+            tensor.COLUMN_BUDGET = budget
+            out.update(_conv_passes(suffix))
+    finally:
+        tensor.COLUMN_BUDGET = default
+    return out
+
+
+def _conv_passes(suffix: str) -> dict:
     pairs = {(layer.kernel, layer.stride) for layer in build_mvfcn().layers
              if layer.kind in CONV_KINDS} | {(1, 2), (3, 3)}
     r = np.random.default_rng(SEED)
@@ -155,12 +170,12 @@ def conv_outputs() -> dict:
             x, weights, bias = (r.normal(size=shape).astype(dtype)
                                 for shape in ((2, 3, *in_hw), spec.weight_shape(), (2,)))
             y = fwd(x, weights, bias, spec, **kwargs)
-            out[f"{key}/{name}/forward"] = sha256(y)
+            out[f"{key}/{name}/forward{suffix}"] = sha256(y)
             d_out = r.normal(size=y.shape).astype(dtype)
             for input_grad in (True, False):
                 grads = bwd(x, weights, spec, d_out, input_grad=input_grad)
                 for part, grad in zip(("d_x", "d_w", "d_b"), grads):
-                    out[f"{key}/{name}/backward/{part}/input_grad={input_grad}"] = sha256(
+                    out[f"{key}/{name}/backward/{part}/input_grad={input_grad}{suffix}"] = sha256(
                         repr(grad) if grad is None else grad)
     return out
 

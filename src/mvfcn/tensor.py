@@ -429,18 +429,6 @@ def _phase_weights(weights, s: int):
     return taps.transpose(3, 5, 1, 2, 4, 0).reshape(s * s * cout, t * t * c)
 
 
-def _phases(size: int, s: int, p: int, lo: int, hi: int):
-    """Yield (f, out, grid) for each phase f of an output axis of ``size``
-    whose grid position u holds output s*u + f - p: the output positions
-    that grid positions [lo, hi) fill, and those grid positions counted
-    from lo, both as slices."""
-    for f in range(s):
-        u0 = max(lo, int(f < p))
-        u1 = min(hi, -(-(size - f + p) // s))
-        if u1 > u0:
-            yield f, slice(s * u0 + f - p, s * (u1 - 1) + f - p + 1, s), slice(u0 - lo, u1 - lo)
-
-
 def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     """Transposed convolution, the adjoint of :func:`conv2d_forward`, as a
     gather.
@@ -449,9 +437,9 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     offset mod s. Each phase is a stride-1 convolution of the input with
     that phase's taps of the flipped kernel, ceil(k/s) on a side (the
     sub-pixel convolution of Shi et al., CVPR 2016). One GEMM per block of
-    input rows gives every phase's rows, which are interleaved into the
-    output (depth to space). At stride 1 it is :func:`conv2d_forward` with
-    the rotated kernel. Default size (stride*h, stride*w).
+    input rows gives every phase's rows, written into an s-fold grid that
+    is cropped once (depth to space). At stride 1 it is :func:`conv2d_forward`
+    with the rotated kernel. Default size (stride*h, stride*w).
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     n, c, h, w = x.shape
@@ -469,29 +457,28 @@ def convT2d_forward(x, weights, bias, spec: TransposeConvSpec, out_hw=None):
     # the output's same-floor padding, in whole grid steps and a remainder
     (a_r, p_r), (a_c, p_c) = (divmod(same_floor_padding(length, k, s)[0], s)
                               for length in (out_h, out_w))
-    ow = -(-(out_w + p_c) // s)
-    windows = _Windows(x, t, 1, (t - 1 - a_r, t - 1 - a_c), (-(-(out_h + p_r) // s), ow),
-                       s * s * cout)
+    gh, gw = -(-(out_h + p_r) // s), -(-(out_w + p_c) // s)
+    windows = _Windows(x, t, 1, (t - 1 - a_r, t - 1 - a_c), (gh, gw), s * s * cout)
     w_mat = _phase_weights(weights, s)
-    tallest = s * s * cout * windows.blocks[0][2] * ow
+    tallest = s * s * cout * windows.blocks[0][2] * gw
     products = _Scratch(lambda: np.empty(tallest, x.dtype), windows.at_once)
-    col_phases = list(_phases(out_w, s, p_c, 0, ow))
-    out = np.empty((n, cout, out_h, out_w), dtype=x.dtype)
+    # grid position (u, f) on an axis is s*u + f of the uncropped output
+    full = np.empty((n, cout, gh, s, gw, s), dtype=x.dtype)
     if bias is not None:
-        bias = np.asarray(bias, dtype=out.dtype)[:, None, None]
+        bias = np.asarray(bias, dtype=full.dtype)[:, None, None]
 
     def block(i, r0, rows, cols):
         with products() as buf:
-            p = np.matmul(w_mat, cols, out=buf[:s * s * cout * rows * ow].reshape(-1, rows * ow))
-            p = p.reshape(s, s, cout, rows, ow)
+            p = np.matmul(w_mat, cols, out=buf[:s * s * cout * rows * gw].reshape(-1, rows * gw))
+            p = p.reshape(s, s, cout, rows, gw)
             if bias is not None:
                 p += bias
-            for fr, out_rows, grid_rows in _phases(out_h, s, p_r, r0, r0 + rows):
-                for fc, out_cols, grid_cols in col_phases:
-                    out[i, :, out_rows, out_cols] = p[fr, fc, :, grid_rows, grid_cols]
+            for fr in range(s):
+                for fc in range(s):
+                    full[i, :, r0:r0 + rows, fr, :, fc] = p[fr, fc]
 
     list(_column_blocks(windows, block))
-    return out
+    return full.reshape(n, cout, s * gh, s * gw)[:, :, p_r:p_r + out_h, p_c:p_c + out_w]
 
 
 def conv2d_backward(x, weights, spec: ConvSpec, d_out, input_grad: bool = True):

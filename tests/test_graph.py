@@ -270,6 +270,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(graph, np.zeros((1, 3, 30, 32), np.float32))
 
+    def test_unknown_mode_rejected(self):
+        graph = tiny_graph()
+        graph.initialize_parameters(EngineRng(0))
+        with pytest.raises(ValueError, match="mode must be"):
+            forward(graph, np.zeros((1, 2, 4, 4), np.float32), mode="eval")
+
     def test_input_of_another_rank_rejected(self):
         graph = tiny_graph()
         graph.initialize_parameters(EngineRng(0))

@@ -142,6 +142,11 @@ class TestImageCodec:
             save_image(image, tmp_path / "m.pgm")
         assert not (tmp_path / "m.pgm").exists()
 
+    def test_two_channel_array_rejected(self, tmp_path):
+        with pytest.raises(DataError, match=r"cannot encode array of shape \(2, 4, 4\)"):
+            save_image(np.zeros((2, 4, 4)), tmp_path / "m.pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 0, 5), (1, 1, 4, 0)])
     def test_empty_array_rejected(self, tmp_path, shape):
         with pytest.raises(DataError, match="m.pgm: cannot encode an empty image"):
@@ -235,6 +240,12 @@ class TestDiscovery:
 
     def test_deterministic_order(self, tmp_path):
         root = self._tree(tmp_path, [3, 1, 2])
+        manifest = discover_dataset(root)
+        assert [f.index for f in manifest.frames] == [1, 2, 3]
+
+    def test_file_without_digits_is_skipped(self, tmp_path):
+        root = self._tree(tmp_path, [1, 2, 3])
+        (root / "input" / "background.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
         manifest = discover_dataset(root)
         assert [f.index for f in manifest.frames] == [1, 2, 3]
 
@@ -498,6 +509,11 @@ class TestScoremapSidecar:
             load_scoremap(tmp_path / "s.f32")
         with pytest.raises(DataError, match="t.f32: cannot write a non-finite score"):
             save_scoremap(score, tmp_path / "t.f32")
+        assert not (tmp_path / "t.f32").exists()
+
+    def test_three_dimensional_score_map_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="score map must be 2-d"):
+            save_scoremap(np.zeros((1, 4, 4), np.float32), tmp_path / "t.f32")
         assert not (tmp_path / "t.f32").exists()
 
     @pytest.mark.parametrize("h,w", [(0, 5), (5, 0), (0, 0)])

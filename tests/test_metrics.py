@@ -49,6 +49,29 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             confusion(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_roi_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            confusion(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 3)))
+
+
+class TestPrecisionRecall:
+    """With nothing predicted (precision) or nothing true (recall) the ratio
+    is 1 when the other side is empty too, else 0."""
+
+    @pytest.mark.parametrize("counts, expected", [
+        (ConfusionCounts(0, 0, 0, 4), 1.0),
+        (ConfusionCounts(0, 0, 3, 1), 0.0),
+    ])
+    def test_precision_with_no_predicted_foreground(self, counts, expected):
+        assert precision(counts) == expected
+
+    @pytest.mark.parametrize("counts, expected", [
+        (ConfusionCounts(0, 0, 0, 4), 1.0),
+        (ConfusionCounts(0, 2, 0, 2), 0.0),
+    ])
+    def test_recall_with_no_true_foreground(self, counts, expected):
+        assert recall(counts) == expected
+
 
 class TestFom:
     def test_hand_fixture(self):
@@ -156,6 +179,14 @@ class TestEvaluateSequence:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             evaluate_sequence([np.zeros((2, 2))], [])
+
+    @pytest.mark.parametrize("preds, gts, rois", [
+        ([], [], None),
+        ([np.zeros((2, 2))], [np.zeros((2, 2))], [np.ones((2, 2))] * 2),
+    ], ids=["empty", "roi-count"])
+    def test_refused(self, preds, gts, rois):
+        with pytest.raises(DataError):
+            evaluate_sequence(preds, gts, rois)
 
     def test_report_is_machine_readable(self):
         pred = np.ones((3, 3), np.uint8)

@@ -11,13 +11,16 @@ from mvfcn import (
     ConvSpec,
     ShapeError,
     TransposeConvSpec,
+    batchnorm_backward,
     batchnorm_forward,
+    build_mvfcn,
     concat_channels,
     conv2d_forward,
     convT2d_forward,
     EngineRng,
     dropout,
     dropout_backward,
+    infer_shapes,
     relu,
     resize_nearest,
     sigmoid,
@@ -147,6 +150,27 @@ class TestTransposeConv:
                 patch = canvas[:, :, i:i + k, j:j + k]
                 ref[:, :, i, j] = np.einsum("ncij,coij->no", patch, flipped)
         assert np.allclose(out, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("n, h, w", [(8, 48, 64), (1, 240, 320)])
+    def test_network_sizes_give_a_contiguous_map(self, n, h, w):
+        # the upsampling outputs and the strided convs' input gradients feed
+        # concats and gradient sums, which a strided view or a copy would slow
+        graph = build_mvfcn()
+        shapes = infer_shapes(graph, (3, h, w))
+        for layer in graph.layers:
+            spec = graph.specs.get(layer.id)
+            if layer.id in (5, 7, 11, 13):  # d_x: the adjoint spec's pass on d_out
+                spec = TransposeConvSpec(spec.kernel, spec.stride, spec.out_channels,
+                                         spec.in_channels)
+                small, big = shapes[layer.id], shapes[layer.inputs[0]]
+            elif layer.id in (18, 21, 24, 27):
+                small, big = shapes[layer.inputs[0]], shapes[layer.id]
+            else:
+                continue
+            out = convT2d_forward(np.ones((n, *small), np.float32),
+                                  np.ones(spec.weight_shape(), np.float32), None, spec, big[1:])
+            assert out.shape == (n, *big)
+            assert out.flags.c_contiguous, layer.id
 
 
 class TestRelu:
@@ -380,3 +404,24 @@ class TestResizeNearest:
         mask = (r.uniform(size=(h, w)) > 0.5).astype(np.float32)
         out = resize_nearest(mask, th, tw)
         assert set(np.unique(out)) <= set(np.unique(mask))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: conv2d_forward(np.zeros((2, 4, 4)), np.zeros((2, 2, 3, 3)), None,
+                            ConvSpec(3, 1, 2, 2)), ShapeError),
+    (lambda: conv2d_forward(np.zeros((0, 2, 4, 4)), np.zeros((2, 2, 3, 3)), None,
+                            ConvSpec(3, 1, 2, 2)), ShapeError),
+    (lambda: ConvSpec(3, 0, 2, 2), ShapeError),
+    (lambda: ConvSpec(3, 1, 0, 2), ShapeError),
+    (lambda: batchnorm_forward(np.zeros((1, 2, 4, 4)), BatchNormState.create(2), mode="eval"),
+     ConfigError),
+    (lambda: batchnorm_backward(np.zeros((1, 2, 4, 4)), BatchNormState.create(2), None),
+     RuntimeError),
+    (lambda: concat_channels([]), ShapeError),
+    (lambda: resize_nearest(np.zeros(4), 2, 2), ShapeError),
+    (lambda: resize_nearest(np.zeros((4, 4)), 0, 2), ShapeError),
+], ids=["conv-rank-3", "conv-empty-batch", "stride-0", "channels-0", "batchnorm-mode",
+        "batchnorm-backward-no-cache", "concat-nothing", "resize-1d", "resize-to-empty"])
+def test_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -22,7 +22,7 @@ from mvfcn import (
     ordered_split,
     train_loop,
 )
-from mvfcn.errors import CheckpointError, DataError, ShapeError
+from mvfcn.errors import CheckpointError, ConfigError, DataError, ShapeError
 from mvfcn.io import ROLE_ADAM_STEP, ROLE_RNG, apply_state, save_checkpoint
 from mvfcn.synth import make_rectangles_dataset
 from mvfcn.train import _frame_mask, apply_affine_pair, augment_pair, evaluate_split
@@ -373,3 +373,22 @@ class TestTransferInit:
         moved = train_loop(dataset, _fast_cfg(seed=99), init=donor.last)
         for key in ((0, ROLE_RNG), (0, ROLE_ADAM_STEP)):
             assert np.array_equal(moved.last.entries[key], fresh.last.entries[key])
+
+
+def _wrongly_shaped_step():
+    graph = tiny_graph()
+    graph.initialize_parameters(EngineRng(0))
+    grads = {lid: {name: np.zeros(arr.shape + (1,), arr.dtype)
+                   for name, arr in per.items()} for lid, per in _param_dict(graph).items()}
+    adam_step(graph, grads, AdamState(lr=0.01))
+
+
+@pytest.mark.parametrize("call, error", [
+    (_wrongly_shaped_step, ShapeError),
+    (lambda: lr_at(-1, TrainConfig()), ConfigError),
+    (lambda: apply_affine_pair(np.zeros((4, 4)), np.zeros((4, 5)), 0, 0, 0, 1), ShapeError),
+    (lambda: train_loop(_tiny_dataset(4), _fast_cfg(max_epochs=1), start_epoch=2), ConfigError),
+], ids=["adam-gradient-shape", "negative-epoch", "affine-sizes", "start-past-max-epochs"])
+def test_refused(call, error):
+    with pytest.raises(error):
+        call()
