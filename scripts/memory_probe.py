@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Report the memory and wall time of one infer forward and two
-consecutive train steps of the canonical network on random input.
+"""Report the memory and wall time of two consecutive infer forwards and
+two consecutive train steps of the canonical network on random input.
 
 For each pass it prints the tracemalloc peak (the most memory numpy and
 Python held at once during the pass), the memory still held after it,
-and the wall time. Infer counts from where its pass started; both train
-steps count from where the first one started, and the steps hold their
-cache the way train_loop does, bound until the next forward returns, so
-memory a step keeps into the next one shows in the second step's peak.
+the wall time and the minor page faults the process took in it (the
+ru_minflt delta: pages the kernel mapped in, zeroed, on first touch).
+Each infer forward counts from where its pass started; both train steps
+count from where the first one started, and the steps hold their cache
+the way train_loop does, bound until the next forward returns, so memory
+a step keeps into the next one shows in the second step's peak.
 At exit it prints the process's peak resident set size (ru_maxrss in MB
 of 1024 KiB, as bench/run.py reads peak_rss_mb), which also counts the
-interpreter, BLAS buffers, tracemalloc's own records and memory the
-allocator has not returned. Reporting only: nothing is checked against
-a bound.
+interpreter, BLAS buffers, tracemalloc's own records and the heap the
+allocator keeps. Importing the engine sets glibc's mmap threshold to
+64 MiB and its trim threshold to 128 MiB (``tensor.MMAP_THRESHOLD``), so
+freed arrays up to 64 MiB stay in the heap for the next pass, and only
+larger ones, such as the batch-8 240x320 maps, go back to the kernel.
+So the first pass faults its memory in and the next ones of the same
+size do not. Reporting only: nothing is checked against a bound.
 
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 1 --pass infer
     PYTHONPATH=src python3 scripts/memory_probe.py --size 240x320 --batch 2 --pass train
@@ -33,18 +39,26 @@ def _size(text):
     return int(h), int(w)
 
 
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _measure(label, fn, since=None):
     """Run fn; print the traced peak and what stays traced after, both above
-    ``since`` (default: what was traced when fn started), and the time."""
+    ``since`` (default: what was traced when fn started), the time and the
+    minor page faults."""
     tracemalloc.reset_peak()
     if since is None:
         since = tracemalloc.get_traced_memory()[0]
+    faults = _minor_faults()
     start = time.perf_counter()
     fn()
     seconds = time.perf_counter() - start
+    faults = _minor_faults() - faults
     now, peak = tracemalloc.get_traced_memory()
     print(f"{label}: peak {(peak - since) / 2**20:.1f} MiB, "
-          f"held after {(now - since) / 2**20:.1f} MiB, {seconds:.2f} s")
+          f"held after {(now - since) / 2**20:.1f} MiB, {seconds:.2f} s, "
+          f"{faults} minor faults")
 
 
 def main():
@@ -81,7 +95,8 @@ def main():
     print(f"batch {args.batch}, {args.size[0]}x{args.size[1]}")
     tracemalloc.start()
     if args.which in ("infer", "both"):
-        _measure("infer forward", infer)
+        for n in (1, 2):
+            _measure(f"infer forward {n}", infer)
     if args.which in ("train", "both"):
         since = tracemalloc.get_traced_memory()[0]
         for step in (1, 2):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     INFER,
     TRAIN,
@@ -321,9 +321,9 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     forward keeps those in ``graph.kept`` for :func:`backward`.
     """
     if mode not in (TRAIN, INFER):
-        raise ValueError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
+        raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     if mode == TRAIN and rng is None:
-        raise ValueError("train-mode forward needs the engine rng for dropout")
+        raise ConfigError("train-mode forward needs the engine rng for dropout")
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be rank-4, got {x.shape}")

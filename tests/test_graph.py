@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvfcn import (
+    ConfigError,
     EngineRng,
     LayerSpec,
     ModelGraph,
@@ -261,7 +262,7 @@ class TestForward:
     def test_train_mode_requires_rng(self):
         graph = build_mvfcn()
         graph.initialize_parameters(EngineRng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="needs the engine rng"):
             forward(graph, np.zeros((1, 3, 32, 32), np.float32), mode="train")
 
     def test_indivisible_input_rejected(self):
@@ -273,7 +274,7 @@ class TestForward:
     def test_unknown_mode_rejected(self):
         graph = tiny_graph()
         graph.initialize_parameters(EngineRng(0))
-        with pytest.raises(ValueError, match="mode must be"):
+        with pytest.raises(ConfigError, match="mode must be"):
             forward(graph, np.zeros((1, 2, 4, 4), np.float32), mode="eval")
 
     def test_input_of_another_rank_rejected(self):

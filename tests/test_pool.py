@@ -1,8 +1,13 @@
 """The engine's pool: each pooled pass gives the bytes of the in-order run
 on any worker count, OpenBLAS gets the caller's thread count back after a
-pass, and no GEMM runs outside ``tensor``, where the pin cannot reach it."""
+pass, and no GEMM runs outside ``tensor``, where the pin cannot reach it.
+The engine's heap: a pass faults no memory back in that the previous one
+used, and the engine runs the same without glibc's ``mallopt``."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +235,60 @@ def test_only_tensor_runs_a_gemm():
                  for lineno, line in enumerate(module.read_text().splitlines(), start=1)
                  if gemm.search(line.split("#")[0])]
     assert offenders == []
+
+
+# what the C library's name lookup gives where there is no glibc mallopt
+_NO_MALLOPT = {
+    "macos": "types.SimpleNamespace()",  # no mallopt symbol
+    "musl": "types.SimpleNamespace(mallopt=lambda param, value: 0)",  # a stub that refuses
+}
+
+
+def _fresh_forward(h: int, w: int, libc: str | None = None) -> tuple[bool, int, str]:
+    """Run two batch-1 infer forwards in a fresh interpreter, whose allocator
+    no other test has touched; with ``libc``, ``ctypes.CDLL(None)`` returns
+    that instead. Returns whether the engine set the heap thresholds, the
+    second forward's minor page faults, and the sha256 of its score map."""
+    patch = "" if libc is None else f"""
+cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: {libc} if name is None else cdll(name, *args, **kwargs)
+"""
+    script = f"""
+import ctypes, hashlib, resource, types
+import numpy as np
+{patch}
+from mvfcn import EngineRng, build_mvfcn, forward, tensor
+graph = build_mvfcn()
+graph.initialize_parameters(EngineRng(0))
+for state in graph.bn_states.values():
+    state.initialized = True
+x = np.random.default_rng(1).uniform(size=(1, 3, {h}, {w})).astype(np.float32)
+forward(graph, x, mode="infer")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+score, _ = forward(graph, x, mode="infer")
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(tensor._HEAP_KEPT, faults, hashlib.sha256(score.tobytes()).hexdigest())
+"""
+    path = [str(Path(mvfcn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    kept, faults, digest = out.split()
+    return kept == "True", int(faults), digest
+
+
+def test_second_frame_faults_no_memory_back_in():
+    # glibc's dynamic mmap threshold stops at 32 MiB, under the 34-39 MB maps
+    # of a 240x320 frame, and its trim threshold gave the heap top back after
+    # each pass: the second forward took about 10,600 minor faults
+    kept, faults, _ = _fresh_forward(240, 320)
+    if not kept:
+        pytest.skip("no glibc mallopt")
+    assert faults < 100
+
+
+@pytest.mark.parametrize("libc", sorted(_NO_MALLOPT))
+def test_engine_runs_without_mallopt(libc):
+    kept, _, digest = _fresh_forward(32, 32, _NO_MALLOPT[libc])
+    assert not kept
+    assert digest == _fresh_forward(32, 32)[2]
