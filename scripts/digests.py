@@ -6,8 +6,10 @@ It digests the files and stdout of scripts/run_pipeline_demo.py, the
 `mvfcn summary` text, a fixed-seed 2-epoch 48x64 train_loop (the history
 table and the best and last checkpoint bytes), one batch-2 240x320 train
 step (the score, each gradient, the dropout mask bits and the rng
-position after it), one 240x320 infer score map, the conv passes on
-their own and the per-frame post-processing. The conv part runs both
+position after it), one 240x320 infer score map, the infer score maps
+and logits of a batch-1 240x320 and a batch-8 48x64 input through
+batch-norm statistics drawn per channel, the conv passes on their own
+and the per-frame post-processing. The conv part runs both
 forwards, and the backward under both of its names, for each (k, s) pair
 of the MV-FCN layer table plus (1, 2) and (3, 3), at an odd and an even
 size, in float32 and float64, with the input gradient on and off, all of
@@ -136,6 +138,28 @@ def paper_size_step() -> dict:
     return out
 
 
+def seeded_infer() -> dict:
+    """Infer forwards through batch-norm statistics that differ per
+    channel, so a channel the head's batch norm slipped would show: after
+    one train step they are still near identity."""
+    out = {}
+    for (h, w), n in (((240, 320), 1), ((48, 64), 8)):
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(SEED))
+        r = np.random.default_rng(SEED)
+        for state in graph.bn_states.values():
+            c = state.channels
+            state.gamma[:], state.beta[:] = r.uniform(0.5, 1.5, c), r.normal(size=c)
+            state.running_mean[:] = r.normal(size=c)
+            state.running_var[:] = r.uniform(0.5, 2.0, c)
+            state.initialized = True
+        x = r.uniform(size=(n, 3, h, w)).astype(np.float32)
+        score, cache = forward(graph, x, mode="infer")
+        key = f"infer/{h}x{w}/batch{n}"
+        out[f"{key}/score"], out[f"{key}/logits"] = sha256(score), sha256(cache.logits)
+    return out
+
+
 def conv_outputs() -> dict:
     """Both conv forwards and the backward, called by the name the graph
     calls it by for each kind of layer, on random maps of 3 channels to 2.
@@ -209,7 +233,7 @@ def postproc_outputs() -> dict:
 def collect(root: Path) -> dict:
     report = {"machine": machine(root), "digests": {}}
     for part in (pipeline_demo(root), summary_text(), short_training(), paper_size_step(),
-                 conv_outputs(), postproc_outputs()):
+                 seeded_infer(), conv_outputs(), postproc_outputs()):
         report["digests"].update(part)
     return report
 

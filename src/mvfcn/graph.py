@@ -17,6 +17,7 @@ from .tensor import (
     INFER,
     TRAIN,
     BatchNormState,
+    ChannelParts,
     ConvSpec,
     TransposeConvSpec,
     batchnorm_affine,
@@ -122,6 +123,27 @@ class ModelGraph:
         self.rebuilt = frozenset(src for src, r in sole.items()
                                  if self.by_id[src].kind == "batchnorm"
                                  and r.kind in CONV_KINDS)
+        # concat ids an infer forward leaves as ChannelParts: the concat's
+        # one reader is a batch norm in ``rebuilt``, which normalizes the
+        # parts in place for its conv. So each input must be a distinct
+        # fresh map of the walk, not the caller's input nor a dropout (in
+        # infer mode its input passed through), last read by the concat
+        # and read by no dropout, whose alias of it could be read later
+        self.unbuilt = frozenset(
+            l.id for l in self.layers
+            if l.kind == "concat" and l.id in sole and sole[l.id].id in self.rebuilt
+            and len(set(l.inputs)) == len(l.inputs)
+            and all(self.by_id[src].kind not in ("input", "dropout")
+                    and self.last_reader[src] == l.id
+                    and all(r.kind != "dropout" for r in readers[src]) for src in l.inputs))
+        # ReLU conv id -> the 1x1 stride-1 conv that alone reads the
+        # dropout that alone reads it. An infer-mode dropout passes its
+        # input through, so that 1x1 conv runs in the ReLU conv's row
+        # blocks (conv2d_forward's ``head``) and the ReLU conv's output is
+        # never built
+        self.head = {src: sole[d].id for src, d in self.stand_in.items()
+                     if self.by_id[src].kind == "conv" and d in sole
+                     and sole[d].kind == "conv" and sole[d].kernel == sole[d].stride == 1}
         self.kept = self._kept()
         self.channels = self._infer_channels()
         # each conv's spec, built (and so checked) once
@@ -296,9 +318,11 @@ class ForwardCache:
     """Per-layer activations and residuals kept for the backward pass.
 
     Each activation is released right after the last layer that reads it,
-    so an infer-mode cache ends with the final layer's output alone. A
-    train-mode cache also holds ``graph.kept``, the activations backward
-    reads, plus the batch-norm and dropout residuals in ``extras``. It
+    so an infer-mode cache ends with the final layer's output alone. An
+    infer-mode walk holds a concat in ``graph.unbuilt`` as its parts, and
+    no output of a conv in ``graph.head`` or of the dropout after it ever
+    enters the cache. A train-mode cache also holds ``graph.kept``, the
+    activations backward reads, plus the batch-norm and dropout residuals in ``extras``. It
     holds no output that ``graph.rebuilt`` lets backward rebuild from a
     batch norm's xhat, nor any ReLU output whose mask ``graph.stand_in``
     reads from the dropout after it. :func:`backward` consumes it: it pops
@@ -319,6 +343,15 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     logits so a fused loss can skip the saturating exponent. Each
     activation is dropped after its last reader, except that a train-mode
     forward keeps those in ``graph.kept`` for :func:`backward`.
+
+    An infer-mode forward streams what the tables allow: a concat in
+    ``graph.unbuilt`` stays a :class:`ChannelParts` of its inputs, which
+    its batch norm normalizes in place and its conv reads window by window;
+    and each conv in ``graph.head`` runs its 1x1 reader in its own row
+    blocks, the dropout between them being an identity. For MV-FCN that
+    leaves L28, L29 and L30 unbuilt, and the score map and logits keep the
+    bits of the built walk at every input size it accepts (see
+    :func:`conv2d_forward`'s ``head``).
     """
     if mode not in (TRAIN, INFER):
         raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
@@ -331,22 +364,31 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
 
     cache = ForwardCache(mode=mode)
     kept = graph.kept if mode == TRAIN else ()
+    unbuilt, heads = (graph.unbuilt, graph.head) if mode == INFER else ((), {})
+    # the dropout and the 1x1 conv of each head, run by the conv before them
+    streamed = {r for lid in heads.values() for r in (lid, graph.by_id[lid].inputs[0])}
     last = graph.layers[-1]
     for layer in graph.layers:
+        if layer.id in streamed:
+            continue  # they read nothing else, so they release nothing
+        made = graph.by_id[heads.get(layer.id, layer.id)]  # the layer whose output this makes
         if layer.kind == "input":
             out = x
         elif layer.kind in CONV_KINDS:
             p = graph.params[layer.id]
             conv = conv2d_forward if layer.kind == "conv" else convT2d_forward
+            epilogue = {} if made is layer else {
+                "head": (graph.params[made.id]["weight"], graph.params[made.id]["bias"])}
             # one name for the conv output: a second would keep it alive
             # past its release below
             out = conv(cache.outputs[layer.inputs[0]], p["weight"], p["bias"],
-                       graph.specs[layer.id])
-            if layer is last and layer.activation == "sigmoid":
+                       graph.specs[layer.id], **epilogue)
+            if made is last and made.activation == "sigmoid":
                 cache.logits = out
-            out = _activate(layer, out)
+            out = _activate(made, out)
         elif layer.kind == "concat":
-            out = concat_channels([cache.outputs[i] for i in layer.inputs])
+            build = ChannelParts if layer.id in unbuilt else concat_channels
+            out = build([cache.outputs[i] for i in layer.inputs])
         elif layer.kind == "batchnorm":
             out, bn_cache = batchnorm_forward(cache.outputs[layer.inputs[0]],
                                               graph.bn_states[layer.id], mode)
@@ -354,7 +396,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
         else:  # dropout
             out, mask = dropout(cache.outputs[layer.inputs[0]], layer.rate, rng, mode)
             cache.extras[layer.id] = mask
-        cache.outputs[layer.id] = out
+        cache.outputs[made.id] = out
         for src in set(layer.inputs):
             if graph.last_reader[src] == layer.id and src not in kept:
                 del cache.outputs[src]

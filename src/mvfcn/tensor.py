@@ -19,11 +19,13 @@ on the pass alone, never on the worker count, and so do the bytes.
 And its heap. On import this module sets glibc's mmap threshold to
 MMAP_THRESHOLD (64 MiB) and its trim threshold to twice that, for the
 whole process. glibc's own dynamic threshold stops at 32 MiB, so the
-34-39 MB maps of a 240x320 frame went back to the kernel after every
-pass, and a batch-1 infer forward took about 10,600 minor page faults a
-frame; it now takes under 100. Maps over 64 MiB, such as the batch-8
-240x320 paper maps, stay on mmap. Without glibc's mallopt (macOS, musl)
-nothing is set. A fresh process still faults on its first frame.
+34-39 MB head maps of a 240x320 train step went back to the kernel after
+every pass. An infer forward streams those maps (:class:`ChannelParts`
+and conv2d_forward's ``head``); its largest is L27's, 18.75 MiB, and a
+batch-1 240x320 forward takes under 100 minor page faults a frame. Maps
+over 64 MiB, such as the batch-8 240x320 paper maps, stay on mmap.
+Without glibc's mallopt (macOS, musl) nothing is set. A fresh process
+still faults on its first frame.
 """
 
 import ctypes
@@ -43,6 +45,8 @@ INFER = "infer"
 
 
 def _check_nchw(x, name="input"):
+    if isinstance(x, ChannelParts):  # its parts were checked when it was made
+        return x
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"{name} must be rank-4 (n, c, h, w), got shape {x.shape}")
@@ -167,11 +171,13 @@ _PIN = _BlasPin(_blas_threads())
 
 # glibc's mmap threshold, above which an allocation gets its own map that
 # free() hands back to the kernel. Its dynamic default stops at 32 MiB, so
-# the 34-39 MB maps of a 240x320 frame (L28's concat, L29's batch norm,
-# L30's output: 128 x 240 x 320 x 4 B = 39 MB) were mapped, faulted in and
-# unmapped on every pass. 64 MiB clears the largest map of one 240x320
-# frame and keeps the batch-8 paper maps (275-315 MB) on mmap, so the holes
-# they would leave in the heap do not grow the peak. The trim threshold is
+# the 34-39 MB maps of a 240x320 train step (L28's concat, L29's batch
+# norm, L30's output: 128 x 240 x 320 x 4 B = 39 MB) would be mapped,
+# faulted in and unmapped on every pass; an infer forward builds none of
+# them, and its largest map is L27's, 18.75 MiB, or 37.5 MiB at batch 2.
+# 64 MiB clears the largest map of one 240x320 frame and keeps the
+# batch-8 paper maps (275-315 MB) on mmap, so the holes they would leave
+# in the heap do not grow the peak. The trim threshold is
 # twice this, glibc's own ratio, so the heap top stays between passes.
 MMAP_THRESHOLD = 64 << 20
 
@@ -325,13 +331,15 @@ class _Windows:
     image i's grid rows, the tallest first. A block's columns and the
     ``other`` channels its GEMM pairs with them take under COLUMN_BUDGET.
     ``work`` counts the elements of the larger of the two for the tallest
-    block, and ``at_once`` how many blocks run at a time (:func:`_at_once`)."""
+    block, and ``at_once`` how many blocks run at a time (:func:`_at_once`).
+    The map is held as :class:`ChannelParts`; an array is one part."""
 
     def __init__(self, src, k: int, s: int, pad, grid, other: int):
-        self.src, self.k, self.s = src, k, s
+        self.src = src if isinstance(src, ChannelParts) else ChannelParts([src])
+        self.k, self.s = k, s
         (self.pt, self.pl), (self.oh, self.ow) = pad, grid
         c = src.shape[1]
-        rows = list(_row_blocks(self.oh, (k * k * c + other) * self.ow * src.itemsize))
+        rows = list(_row_blocks(self.oh, (k * k * c + other) * self.ow * src.dtype.itemsize))
         self.blocks = [(i, r0, m) for i in range(src.shape[0]) for r0, m in rows]
         self.win_w = (self.ow - 1) * s + k
         self.cw = min(src.shape[3], self.win_w - self.pl)  # map columns some window reaches
@@ -356,8 +364,8 @@ class _Windows:
     def columns(self, scratch, i: int, r0: int, rows: int):
         """Block (i, r0, rows)'s (k*k*c, rows*ow) column matrix, row
         (ki, kj, ci) holding channel ci of tap (ki, kj): the block's window
-        is loaded into the window buffer, zero-padded as far as the taps
-        reach, and the columns are one strided copy of it."""
+        is loaded into the window buffer part by part, zero-padded as far
+        as the taps reach, and the columns are one strided copy of it."""
         win, col_buf = scratch
         k, s, ow = self.k, self.s, self.ow
         c, h = self.src.shape[1:3]
@@ -365,7 +373,9 @@ class _Windows:
         top = r0 * s - self.pt  # map row of the window's first row
         lo, hi = max(top, 0), min(top + win_h, h)
         win[:, :lo - top] = win[:, hi - top:win_h] = 0  # pad rows
-        win[:, lo - top:hi - top, self.pl:self.pl + self.cw] = self.src[i, :, lo:hi, :self.cw]
+        reach = slice(self.pl, self.pl + self.cw)
+        for channels, part in self.src.slices():
+            win[channels, lo - top:hi - top, reach] = part[i, :, lo:hi, :self.cw]
         cols = col_buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
         sc, sr, sq = win.strides
         # A view made by the constructor, not by as_strided: as_strided reads
@@ -381,8 +391,9 @@ def _column_blocks(windows: _Windows, fn):
     """Im2col, block by block on the pool: yield fn(i, r0, rows, cols) in
     block order, cols being the block's column matrix, built in its
     worker's own buffers."""
-    src = windows.src
-    if windows.k == windows.s == 1:  # a 1x1 kernel's columns are the block's own rows
+    if windows.k == windows.s == 1 and len(windows.src.arrays) == 1:
+        # a 1x1 kernel's columns are the block's own rows
+        (src,) = windows.src.arrays
         return _parts(lambda b: fn(*b, src[b[0], :, b[1]:b[1] + b[2]].reshape(src.shape[1], -1)),
                       windows.blocks, windows.work)
     scratch = _Scratch(windows.scratch, windows.at_once)
@@ -431,28 +442,64 @@ def _check_conv_inputs(x, weights, spec: ConvSpec):
     return x, weights
 
 
-def conv2d_forward(x, weights, bias, spec: ConvSpec):
+def _gemm_block(w_mat, cols, bias, o):
+    """One row block of a convolution: ``o`` (cout, rows, ow) gets
+    ``w_mat @ cols`` plus the (cout, 1, 1) ``bias`` when there is one."""
+    # each channel's block rows are contiguous, so the reshape is a view
+    np.matmul(w_mat, cols, out=o.reshape(len(w_mat), -1))
+    if bias is not None:
+        o += bias
+
+
+def _conv_matrices(weights, bias, dtype):
+    """A conv's (cout, k*k*cin) weight matrix, columns in tap-major order,
+    and its bias shaped to add to a (cout, rows, ow) block, or None."""
+    w_mat = weights.transpose(0, 2, 3, 1).reshape(len(weights), -1)
+    return w_mat, None if bias is None else np.asarray(bias, dtype=dtype)[:, None, None]
+
+
+def conv2d_forward(x, weights, bias, spec: ConvSpec, head=None):
     """Cross-correlate ``x`` with ``weights`` plus per-channel ``bias``.
 
-    x: (n, cin, h, w); weights: (cout, cin, k, k); bias: (cout,) or None.
-    Returns (n, cout, ceil(h/s), ceil(w/s)). Each output neuron gathers
-    its window through the kernel: one GEMM per block of output rows, which
-    also adds the bias to its block.
+    x: (n, cin, h, w), an array or :class:`ChannelParts`; weights:
+    (cout, cin, k, k); bias: (cout,) or None. Returns (n, cout, ceil(h/s),
+    ceil(w/s)). Each output neuron gathers its window through the kernel:
+    one GEMM per block of output rows, which also adds the bias to its
+    block.
+
+    ``head`` is an epilogue: the (weights, bias) of a 1x1 stride-1 conv from
+    cout channels to hout. Each row block is then built in its worker's
+    scratch, ReLU'd, and run through the head's GEMM and bias, and the
+    return is the head's (n, hout, ceil(h/s), ceil(w/s)) output, without
+    this conv's whole output. Its bits are those of :func:`relu` and a
+    second ``conv2d_forward`` when the output is a multiple of 16 wide, as
+    every MV-FCN map is; the head's GEMM runs on this conv's row blocks,
+    not its own, and at other widths OpenBLAS can round their tails apart.
     """
     x, weights = _check_conv_inputs(x, weights, spec)
     cout = spec.out_channels
-    w_mat = weights.transpose(0, 2, 3, 1).reshape(cout, -1)
+    w_mat, bias = _conv_matrices(weights, bias, x.dtype)
     windows = _Windows.same_floor(x, spec.kernel, spec.stride, cout)
-    out = np.empty((x.shape[0], cout, windows.oh, windows.ow), dtype=x.dtype)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=out.dtype)[:, None, None]
+    if head is not None:
+        head_w = np.asarray(head[0])
+        if head_w.ndim != 4 or head_w.shape[1:] != (cout, 1, 1):
+            raise ShapeError(f"head weights shaped {head_w.shape}, expected (hout, {cout}, 1, 1)")
+        head_mat, head_bias = _conv_matrices(head_w, head[1], x.dtype)
+        tallest = cout * windows.blocks[0][2] * windows.ow
+        products = _Scratch(lambda: np.empty(tallest, x.dtype), windows.at_once)
+    out = np.empty((x.shape[0], cout if head is None else len(head_w), windows.oh, windows.ow),
+                   dtype=x.dtype)
 
     def block(i, r0, rows, cols):
         o = out[i, :, r0:r0 + rows]
-        # each channel's block rows are contiguous, so the reshape is a view
-        np.matmul(w_mat, cols, out=o.reshape(cout, -1))
-        if bias is not None:
-            o += bias
+        if head is None:
+            _gemm_block(w_mat, cols, bias, o)
+            return
+        with products() as buf:
+            z = buf[:cout * rows * windows.ow].reshape(cout, rows, -1)
+            _gemm_block(w_mat, cols, bias, z)
+            np.maximum(z, 0, out=z)  # relu's expression
+            _gemm_block(head_mat, z.reshape(cout, -1), head_bias, o)
 
     list(_column_blocks(windows, block))
     return out
@@ -629,6 +676,11 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
     infer mode uses the running statistics and requires them to have been
     trained or loaded from a checkpoint. Returns (y, cache) where cache feeds
     :func:`batchnorm_backward` (None in infer mode).
+
+    Infer mode also takes :class:`ChannelParts`, an unbuilt concat whose
+    parts the caller gives up: each part is normalized in place, or into a
+    new array when the statistics' dtype is wider, and y is their
+    ChannelParts. The bits are those of the built concat's y.
     """
     x = _check_nchw(x)
     if x.shape[1] != state.channels:
@@ -669,6 +721,10 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         scale = state.gamma * inv_std
         shift = state.beta - state.running_mean * scale
+        if isinstance(x, ChannelParts):
+            wider = np.result_type(x.dtype, scale, shift) != x.dtype
+            return ChannelParts([_affine(part, scale[c], shift[c], None if wider else part)
+                                 for c, part in x.slices()]), None
         return _affine(x, scale, shift), None
     raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
 
@@ -679,9 +735,10 @@ def batchnorm_affine(xhat, state: BatchNormState):
     return _affine(xhat, state.gamma, state.beta)
 
 
-def _affine(x, scale, shift):
-    """``x * scale + shift`` per channel, by channel halves."""
-    y = np.empty(x.shape, np.result_type(x, scale, shift))
+def _affine(x, scale, shift, out=None):
+    """``x * scale + shift`` per channel, by channel halves; ``out=x``
+    applies it in place."""
+    y = np.empty(x.shape, np.result_type(x, scale, shift)) if out is None else out
 
     def half(ix):
         np.multiply(x[:, ix], scale[ix].reshape(1, -1, 1, 1), out=y[:, ix])
@@ -726,25 +783,47 @@ def batchnorm_backward(d_out, state: BatchNormState, cache):
     return d_x, d_gamma, d_beta
 
 
+class ChannelParts:
+    """A channel concat left unbuilt: the maps ``inputs``, each
+    (n, c_j, h, w), stacked along axis 1 in order, in their common dtype.
+    The convolution forwards read their windows from it part by part, and
+    an infer-mode batch norm normalizes it in place, so the concatenated
+    map is never allocated. ``shape`` and ``dtype`` are the built map's."""
+
+    def __init__(self, inputs):
+        if not inputs:
+            raise ShapeError("concat needs at least one input")
+        arrs = [_check_nchw(np.asarray(t), f"concat input {i}") for i, t in enumerate(inputs)]
+        base = arrs[0].shape
+        for i, a in enumerate(arrs[1:], start=1):
+            if a.shape[0] != base[0] or a.shape[2:] != base[2:]:
+                raise ShapeError(
+                    f"concat input {i} shaped {a.shape} does not match {base} on "
+                    "(batch, h, w)"
+                )
+        self.dtype = np.result_type(*arrs)
+        self.arrays = [a.astype(self.dtype, copy=False) for a in arrs]
+        self.shape = (base[0], sum(a.shape[1] for a in arrs), *base[2:])
+
+    def slices(self):
+        """Yield (channels, part): each part with the slice of the built
+        map's channels it holds."""
+        start = 0
+        for part in self.arrays:
+            yield slice(start, start + part.shape[1]), part
+            start += part.shape[1]
+
+
 def concat_channels(inputs):
     """Stack tensors along the channel axis in argument order."""
-    if not inputs:
-        raise ShapeError("concat needs at least one input")
-    arrs = [_check_nchw(t, f"concat input {i}") for i, t in enumerate(inputs)]
-    base = arrs[0].shape
-    for i, a in enumerate(arrs[1:], start=1):
-        if a.shape[0] != base[0] or a.shape[2:] != base[2:]:
-            raise ShapeError(
-                f"concat input {i} shaped {a.shape} does not match {base} on "
-                "(batch, h, w)"
-            )
-    ends = np.cumsum([a.shape[1] for a in arrs]).tolist()
-    out = np.empty((base[0], ends[-1], *base[2:]), dtype=np.result_type(*arrs))
+    parts = ChannelParts(inputs)
+    out = np.empty(parts.shape, parts.dtype)
 
-    def copy(j):
-        out[:, ends[j] - arrs[j].shape[1]:ends[j]] = arrs[j]
+    def copy(item):
+        channels, part = item
+        out[:, channels] = part
 
-    list(_parts(copy, range(len(arrs)), max(a.size for a in arrs)))  # one part per input
+    list(_parts(copy, parts.slices(), max(a.size for a in parts.arrays)))  # one part per input
     return out
 
 

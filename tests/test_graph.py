@@ -13,12 +13,18 @@ from mvfcn import (
     ModelGraph,
     ShapeError,
     backward,
+    batchnorm_forward,
     bce_loss,
     build_mvfcn,
+    concat_channels,
+    conv2d_forward,
+    convT2d_forward,
     count_params,
     forward,
     infer_shapes,
     io,
+    relu,
+    sigmoid,
     summary,
 )
 
@@ -432,6 +438,134 @@ class TestActivationLiveness:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+    def test_streamed_infer_peak_memory_at_paper_size(self):
+        # L28, L29 and L30 unbuilt: about 44 MiB; building them peaked at
+        # about 77 MiB
+        graph = self._warm_graph()
+        x = np.random.default_rng(20).uniform(size=(1, 3, 240, 320)).astype(np.float32)
+        forward(graph, x, mode="infer")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward(graph, x, mode="infer")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * 2**20
+
+
+def _seeded_statistics(graph, seed):
+    """Random parameters, and batch-norm statistics that differ per channel."""
+    graph.initialize_parameters(EngineRng(seed))
+    r = np.random.default_rng(seed)
+    for state in graph.bn_states.values():
+        c = state.channels
+        state.gamma[:], state.beta[:] = r.uniform(0.5, 1.5, c), r.normal(size=c)
+        state.running_mean[:], state.running_var[:] = r.normal(size=c), r.uniform(0.5, 2.0, c)
+        state.initialized = True
+    return graph
+
+
+def _materialized(graph, x):
+    """The infer walk as a chain of the public ops, every map built and
+    dropped after its last reader: (score, logits), the logits being the
+    sigmoid's input when the final layer is a sigmoid conv."""
+    outs, logits = {}, None
+    for layer in graph.layers:
+        ins = [outs[i] for i in layer.inputs]
+        if layer.kind == "input":
+            y = x
+        elif layer.kind in ("conv", "convT"):
+            p = graph.params[layer.id]
+            conv = conv2d_forward if layer.kind == "conv" else convT2d_forward
+            y = conv(ins[0], p["weight"], p["bias"], graph.specs[layer.id])
+            if layer is graph.layers[-1] and layer.activation == "sigmoid":
+                logits = y
+            if layer.activation == "relu":
+                y = relu(y)
+            elif layer.activation == "sigmoid":
+                y = sigmoid(y)
+        elif layer.kind == "concat":
+            y = concat_channels(ins)
+        elif layer.kind == "batchnorm":
+            y, _ = batchnorm_forward(ins[0], graph.bn_states[layer.id], "infer")
+        else:  # an infer-mode dropout is the identity
+            y = ins[0]
+        outs[layer.id] = y
+        for src in layer.inputs:
+            if graph.last_reader[src] == layer.id:
+                outs.pop(src, None)
+    return y, y if logits is None else logits
+
+
+def _head_graph(concat=(3, 2), head_kernel=1, before=(), extra=()):
+    """A small streamed head: concat -> batch norm -> ReLU conv -> dropout
+    -> conv, as in MV-FCN's L28-L32; ``before`` goes in before the concat
+    and ``extra`` at the end."""
+    L = LayerSpec
+    return ModelGraph([L(1, "input"), L(2, "conv", (1,), 3, 1, 3, "relu"),
+                       L(3, "conv", (2,), 3, 1, 2, "relu"), *before, L(4, "concat", concat),
+                       L(5, "batchnorm", (4,)), L(6, "conv", (5,), 3, 1, 4, "relu"),
+                       L(7, "dropout", (6,), rate=0.5),
+                       L(8, "conv", (7,), head_kernel, 1, 1, "sigmoid"), *extra],
+                      in_channels=1)
+
+
+class TestStreamedHead:
+    @pytest.mark.parametrize("size, batch", [((240, 320), 1), ((48, 64), 8), ((32, 32), 2)])
+    def test_infer_forward_equals_the_public_ops(self, size, batch):
+        # for L28-L32: concat_channels, batchnorm_forward, conv2d_forward,
+        # relu, conv2d_forward and sigmoid, each map built
+        graph = _seeded_statistics(build_mvfcn(), 41)
+        x = np.random.default_rng(42).uniform(size=(batch, 3, *size)).astype(np.float32)
+        x_before = x.copy()
+        score, cache = forward(graph, x, mode="infer")
+        assert np.array_equal(x, x_before)
+        expected_score, expected_logits = _materialized(graph, x)
+        assert np.array_equal(score, expected_score)
+        assert np.array_equal(cache.logits, expected_logits)
+
+    def test_uninitialized_statistics_still_raise(self):
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(43))
+        with pytest.raises(RuntimeError, match="uninitialized"):
+            forward(graph, np.zeros((1, 3, 32, 32), np.float32), mode="infer")
+
+    def test_mvfcn_tables(self):
+        graph = build_mvfcn()
+        assert graph.unbuilt == {28}
+        assert graph.head == {30: 32}
+
+    @pytest.mark.parametrize("graph, unbuilt, head", [
+        (_head_graph(), {4}, {6: 8}),
+        # the concat has a second reader
+        (_head_graph(extra=(LayerSpec(9, "concat", (8, 4)),)), set(), {6: 8}),
+        # the concat lists the graph input
+        (_head_graph(concat=(3, 1)), set(), {6: 8}),
+        # the concat lists one input twice
+        (_head_graph(concat=(3, 3)), set(), {6: 8}),
+        # a 3x3 conv reads the dropout
+        (_head_graph(head_kernel=3), {4}, {}),
+        # a conv reads a concat input after the concat
+        (_head_graph(extra=(LayerSpec(9, "conv", (2,), 3, 1, 1),
+                            LayerSpec(10, "concat", (8, 9)))), set(), {6: 8}),
+        # a dropout reads a concat input before the concat, and its output,
+        # the same map in infer mode, is read after it
+        (_head_graph(before=(LayerSpec(9, "dropout", (2,), rate=0.5),),
+                     extra=(LayerSpec(10, "concat", (8, 9)),)), set(), {6: 8}),
+    ], ids=["streamed", "second-reader", "graph-input", "input-twice", "3x3-head",
+            "input-read-later", "input-aliased-by-a-dropout"])
+    def test_rules_and_the_materialized_reference(self, graph, unbuilt, head):
+        assert graph.unbuilt == unbuilt and graph.head == head
+        _seeded_statistics(graph, 44)
+        x = np.random.default_rng(45).normal(size=(2, 1, 6, 5)).astype(np.float32)
+        x_before = x.copy()
+        score, cache = forward(graph, x, mode="infer")
+        assert np.array_equal(x, x_before)
+        expected_score, expected_logits = _materialized(graph, x)
+        assert np.array_equal(score, expected_score)
+        assert np.array_equal(cache.logits, expected_logits)
 
 
 class TestSummary:

@@ -35,6 +35,7 @@ from mvfcn import (
 )
 from mvfcn import tensor
 from mvfcn.io import save_checkpoint
+from mvfcn.tensor import ChannelParts
 from mvfcn.synth import make_rectangles_dataset
 
 WORKERS = (2, 3)
@@ -55,6 +56,8 @@ def _arrays(result):
     """Each array a pass returned, with its dtype and shape, flattened."""
     if isinstance(result, np.ndarray):
         return [(result.dtype.str, result.shape, result.tobytes())]
+    if isinstance(result, ChannelParts):
+        return _arrays(result.arrays)
     if isinstance(result, (tuple, list)):
         return [a for item in result for a in _arrays(item)]
     return [result]
@@ -85,6 +88,9 @@ def _conv_passes(batch):
     return [
         ("conv3x3", lambda: conv2d_forward(x, w3, normal(7), spec3)),
         ("conv1x1", lambda: conv2d_forward(x, w1, np.arange(3, dtype=np.float32), spec1)),
+        ("conv3x3_parts_head", lambda: conv2d_forward(
+            ChannelParts([x[:, :2], x[:, 2:]]), w3, normal(7), spec3,
+            head=(normal(2, 7, 1, 1), normal(2)))),
         ("conv_backward", lambda: conv2d_backward(x, w3, spec3, normal(batch, 7, 11, 9))),
         ("conv9x9_backward", lambda: conv2d_backward(x, w9, spec9, normal(batch, 4, 11, 9))),
         ("conv_s2_backward", lambda: conv2d_backward(x, w2, spec_s2, normal(batch, 4, 6, 5))),
@@ -111,11 +117,12 @@ def _map_passes(batch):
         y, cache = batchnorm_forward(x, s, "train")
         return y, cache, s.running_mean, s.running_var, batchnorm_backward(d, s, cache)
 
-    def infer_norm():
+    def infer_norm(parts=False):
         s = BatchNormState.create(5)
         s.running_mean[...], s.running_var[...] = normal(5), np.abs(normal(5)) + 0.5
         s.initialized = True
-        return batchnorm_forward(x, s, "infer")[0]
+        return batchnorm_forward(ChannelParts([x[:, :1].copy(), x[:, 1:].copy()]) if parts
+                                 else x, s, "infer")[0]
 
     def masks():
         y, mask = dropout(x, 0.3, EngineRng(5), "train")
@@ -126,6 +133,7 @@ def _map_passes(batch):
         ("relu_backward", lambda: relu_backward(d, x)),
         ("batchnorm_train", train_norm),
         ("batchnorm_infer", infer_norm),
+        ("batchnorm_infer_parts", lambda: infer_norm(parts=True)),
         ("dropout", masks),
         ("concat", lambda: concat_channels([x, normal(batch, 2, 7, 6), d[:, :1]])),
     ]

@@ -27,7 +27,7 @@ from mvfcn import (
 )
 from mvfcn import tensor
 from mvfcn.errors import ConfigError
-from mvfcn.tensor import same_floor_padding
+from mvfcn.tensor import ChannelParts, same_floor_padding
 
 from conftest import transpose_alpha, transpose_output_size
 
@@ -313,6 +313,65 @@ class TestConcat:
         assert np.array_equal(nested, flat)
 
 
+class TestChannelParts:
+    @staticmethod
+    def _parts(dtype=np.float32):
+        r = np.random.default_rng(31)
+        return [r.normal(size=(2, c, 11, 9)).astype(dtype) for c in (3, 1, 2)]
+
+    @pytest.mark.parametrize("spec", [ConvSpec(3, 1, 6, 4), ConvSpec(3, 2, 6, 4),
+                                      ConvSpec(5, 4, 6, 3), ConvSpec(1, 1, 6, 2),
+                                      TransposeConvSpec(3, 2, 6, 4),
+                                      TransposeConvSpec(3, 1, 6, 4)],
+                             ids=["3x3", "3x3-s2", "5x5-s4", "1x1", "convT-s2", "convT-s1"])
+    def test_conv_forwards_read_the_parts(self, monkeypatch, spec):
+        # one grid row a block, so each block loads its window from every part
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", 1)
+        parts = self._parts()
+        r = np.random.default_rng(32)
+        weights = r.normal(size=spec.weight_shape()).astype(np.float32)
+        bias = r.normal(size=spec.out_channels).astype(np.float32)
+        conv = convT2d_forward if isinstance(spec, TransposeConvSpec) else conv2d_forward
+        built = conv(concat_channels(parts), weights, bias, spec)
+        assert np.array_equal(conv(ChannelParts(parts), weights, bias, spec), built)
+
+    @pytest.mark.parametrize("state_dtype", [np.float32, np.float64])
+    def test_infer_batchnorm_normalizes_the_parts(self, state_dtype):
+        # in place when the part's dtype holds the result; into new arrays,
+        # the parts untouched, when float64 statistics widen it
+        parts = self._parts()
+        before = [p.copy() for p in parts]
+        r = np.random.default_rng(33)
+        state = BatchNormState.create(6, dtype=state_dtype)
+        state.gamma[:], state.beta[:] = r.uniform(0.5, 2.0, 6), r.normal(size=6)
+        state.running_mean[:], state.running_var[:] = r.normal(size=6), r.uniform(0.5, 2.0, 6)
+        state.initialized = True
+        built, _ = batchnorm_forward(concat_channels(before), state, "infer")
+        y, cache = batchnorm_forward(ChannelParts(parts), state, "infer")
+        assert cache is None and isinstance(y, ChannelParts)
+        in_place = state_dtype == np.float32
+        assert all((a is p) == in_place for a, p in zip(y.arrays, parts))
+        assert all(np.array_equal(p, b) != in_place for p, b in zip(parts, before))
+        assert concat_channels(y.arrays).tobytes() == built.tobytes()
+        assert built.dtype == state_dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hout", [1, 2])
+    def test_head_is_relu_then_a_1x1_conv(self, monkeypatch, dtype, hout):
+        # the head's GEMM gets 3-row blocks, the 1x1 conv's one block of all
+        # 13 rows; at a width that is a multiple of 16, as every MV-FCN map's
+        # is, the bits agree
+        r = np.random.default_rng(34)
+        x = r.normal(size=(2, 5, 13, 32)).astype(dtype)
+        spec, head_spec = ConvSpec(3, 1, 5, 24), ConvSpec(1, 1, 24, hout)
+        w, b = r.normal(size=spec.weight_shape()).astype(dtype), r.normal(size=24).astype(dtype)
+        hw = r.normal(size=head_spec.weight_shape()).astype(dtype)
+        hb = r.normal(size=hout).astype(dtype)
+        monkeypatch.setattr(tensor, "COLUMN_BUDGET", (9 * 5 + 24) * 32 * x.itemsize * 3)
+        expected = conv2d_forward(relu(conv2d_forward(x, w, b, spec)), hw, hb, head_spec)
+        assert np.array_equal(conv2d_forward(x, w, b, spec, head=(hw, hb)), expected)
+
+
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = np.random.default_rng(0).normal(size=(2, 3, 4, 4)).astype(np.float32)
@@ -418,10 +477,15 @@ class TestResizeNearest:
     (lambda: batchnorm_backward(np.zeros((1, 2, 4, 4)), BatchNormState.create(2), None),
      RuntimeError),
     (lambda: concat_channels([]), ShapeError),
+    (lambda: ChannelParts([np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 4, 3))]), ShapeError),
+    (lambda: conv2d_forward(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3, 3)), None,
+                            ConvSpec(3, 1, 2, 3), head=(np.zeros((1, 2, 1, 1)), None)),
+     ShapeError),
     (lambda: resize_nearest(np.zeros(4), 2, 2), ShapeError),
     (lambda: resize_nearest(np.zeros((4, 4)), 0, 2), ShapeError),
 ], ids=["conv-rank-3", "conv-empty-batch", "stride-0", "channels-0", "batchnorm-mode",
-        "batchnorm-backward-no-cache", "concat-nothing", "resize-1d", "resize-to-empty"])
+        "batchnorm-backward-no-cache", "concat-nothing", "parts-spatial-mismatch",
+    "head-channel-mismatch", "resize-1d", "resize-to-empty"])
 def test_refused(call, error):
     with pytest.raises(error):
         call()
