@@ -20,7 +20,6 @@ from .tensor import (
     ChannelParts,
     ConvSpec,
     TransposeConvSpec,
-    batchnorm_affine,
     batchnorm_backward,
     batchnorm_forward,
     concat_backward,
@@ -118,24 +117,16 @@ class ModelGraph:
         # a 0 or a 1 leaves as it is. So its output stands in for the mask
         self.stand_in = {src: r.id for src, r in sole.items()
                          if self.by_id[src].activation == "relu" and r.kind == "dropout"}
-        # batch-norm ids that one conv alone reads: that conv's backward
-        # rebuilds its input from the batch norm's xhat
-        self.rebuilt = frozenset(src for src, r in sole.items()
-                                 if self.by_id[src].kind == "batchnorm"
-                                 and r.kind in CONV_KINDS)
+        # batch-norm ids that one conv alone reads, never built: the conv
+        # gets the input with the affine attached (a ChannelParts). A convT's
+        # backward indexes its small side directly, so it gets built maps
+        self.folded = frozenset(src for src, r in sole.items()
+                                if self.by_id[src].kind == "batchnorm" and r.kind == "conv")
         # concat ids an infer forward leaves as ChannelParts: the concat's
-        # one reader is a batch norm in ``rebuilt``, which normalizes the
-        # parts in place for its conv. So each input must be a distinct
-        # fresh map of the walk, not the caller's input nor a dropout (in
-        # infer mode its input passed through), last read by the concat
-        # and read by no dropout, whose alias of it could be read later
-        self.unbuilt = frozenset(
-            l.id for l in self.layers
-            if l.kind == "concat" and l.id in sole and sole[l.id].id in self.rebuilt
-            and len(set(l.inputs)) == len(l.inputs)
-            and all(self.by_id[src].kind not in ("input", "dropout")
-                    and self.last_reader[src] == l.id
-                    and all(r.kind != "dropout" for r in readers[src]) for src in l.inputs))
+        # one reader is a folded batch norm, which only attaches its affine
+        # to the parts. Nothing writes into them, so any map may be a part
+        self.unbuilt = frozenset(l.id for l in self.layers if l.kind == "concat"
+                                 and l.id in sole and sole[l.id].id in self.folded)
         # ReLU conv id -> the 1x1 stride-1 conv that alone reads the
         # dropout that alone reads it. An infer-mode dropout passes its
         # input through, so that 1x1 conv runs in the ReLU conv's row
@@ -155,12 +146,12 @@ class ModelGraph:
 
     def _kept(self) -> frozenset:
         """The activations some backward reads, which a train-mode forward
-        keeps: each conv's input (for its weight gradient) unless rebuilt,
-        and each ReLU or sigmoid output (for its mask) or its stand-in."""
+        keeps: each conv's input (for its weight gradient), and each ReLU or
+        sigmoid output (for its mask) or its stand-in."""
         conv_inputs = {l.inputs[0] for l in self.layers if l.kind in CONV_KINDS}
         masks = {self.stand_in.get(l.id, l.id) for l in self.layers
                  if l.activation != "none"}
-        return frozenset((conv_inputs - self.rebuilt) | masks)
+        return frozenset(conv_inputs | masks)
 
     def _infer_channels(self) -> dict[int, int]:
         channels = {}
@@ -318,15 +309,16 @@ class ForwardCache:
     """Per-layer activations and residuals kept for the backward pass.
 
     Each activation is released right after the last layer that reads it,
-    so an infer-mode cache ends with the final layer's output alone. An
-    infer-mode walk holds a concat in ``graph.unbuilt`` as its parts, and
-    no output of a conv in ``graph.head`` or of the dropout after it ever
-    enters the cache. A train-mode cache also holds ``graph.kept``, the
-    activations backward reads, plus the batch-norm and dropout residuals in ``extras``. It
-    holds no output that ``graph.rebuilt`` lets backward rebuild from a
-    batch norm's xhat, nor any ReLU output whose mask ``graph.stand_in``
-    reads from the dropout after it. :func:`backward` consumes it: it pops
-    each layer's entries as it walks.
+    so an infer-mode cache ends with the final layer's output alone. A
+    batch norm in ``graph.folded`` holds its output as a
+    :class:`ChannelParts`, its input or xhat with its affine attached. An
+    infer-mode walk also holds a concat in ``graph.unbuilt`` as its parts,
+    and no output of a conv in ``graph.head`` or of the dropout after it
+    ever enters the cache. A train-mode cache also holds ``graph.kept``,
+    the activations backward reads, plus the batch-norm and dropout
+    residuals in ``extras``. It holds no ReLU output whose mask
+    ``graph.stand_in`` reads from the dropout after it. :func:`backward`
+    consumes it: it pops each layer's entries as it walks.
     """
 
     mode: str
@@ -344,14 +336,14 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     activation is dropped after its last reader, except that a train-mode
     forward keeps those in ``graph.kept`` for :func:`backward`.
 
-    An infer-mode forward streams what the tables allow: a concat in
-    ``graph.unbuilt`` stays a :class:`ChannelParts` of its inputs, which
-    its batch norm normalizes in place and its conv reads window by window;
-    and each conv in ``graph.head`` runs its 1x1 reader in its own row
-    blocks, the dropout between them being an identity. For MV-FCN that
-    leaves L28, L29 and L30 unbuilt, and the score map and logits keep the
-    bits of the built walk at every input size it accepts (see
-    :func:`conv2d_forward`'s ``head``).
+    A batch norm in ``graph.folded`` hands its conv a :class:`ChannelParts`
+    with its affine attached, applied window by window. An infer-mode
+    forward also keeps a concat in ``graph.unbuilt`` as a ChannelParts of
+    its inputs, and each conv in ``graph.head`` runs its 1x1 reader in its
+    own row blocks, the dropout between them being an identity. So MV-FCN
+    never builds L29, nor in infer mode L28 and L30, and the score map and
+    logits keep the bits of the built walk at every input size it accepts
+    (see :func:`conv2d_forward`'s ``head``).
     """
     if mode not in (TRAIN, INFER):
         raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
@@ -390,8 +382,10 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             build = ChannelParts if layer.id in unbuilt else concat_channels
             out = build([cache.outputs[i] for i in layer.inputs])
         elif layer.kind == "batchnorm":
-            out, bn_cache = batchnorm_forward(cache.outputs[layer.inputs[0]],
-                                              graph.bn_states[layer.id], mode)
+            src = cache.outputs[layer.inputs[0]]
+            if layer.id in graph.folded and not isinstance(src, ChannelParts):
+                src = ChannelParts([src])  # y is left unbuilt for the conv
+            out, bn_cache = batchnorm_forward(src, graph.bn_states[layer.id], mode)
             cache.extras[layer.id] = bn_cache
         else:  # dropout
             out, mask = dropout(cache.outputs[layer.inputs[0]], layer.rate, rng, mode)
@@ -428,10 +422,11 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     in the forward order and so earlier in this walk. The one exception
     is a stand-in (``graph.stand_in``): a dropout output is held until its
     ReLU layer reads its mask from it. A conv whose input is in
-    ``graph.rebuilt`` gets that input rebuilt from the batch norm's xhat.
-    Each gradient is dropped once it is accumulated, and fan-in sums,
-    ReLU and dropout backward write into arrays the walk owns. A spent
-    cache is empty, and a second backward on it raises RuntimeError.
+    ``graph.folded`` gets the batch norm's xhat with (gamma, beta)
+    attached, as the forward did. Each gradient is dropped once it is
+    accumulated, and fan-in sums, ReLU and dropout backward write into
+    arrays the walk owns. A spent cache is empty, and a second backward on
+    it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
@@ -459,9 +454,8 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
         if layer.kind in CONV_KINDS:
             src = layer.inputs[0]
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
-            # no name holds a rebuilt input, so the conv backward frees it
-            # before d_x; nothing consumes the gradient w.r.t. the graph input
-            d_x, d_w, d_b = conv_backward(_conv_input(graph, cache, src),
+            # nothing consumes the gradient w.r.t. the graph input
+            d_x, d_w, d_b = conv_backward(cache.outputs[src],
                                           graph.params[layer.id]["weight"],
                                           graph.specs[layer.id], d,
                                           input_grad=graph.by_id[src].kind != "input")
@@ -484,14 +478,6 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     for lid, name, arr in graph.parameter_items():
         grads.setdefault(lid, {}).setdefault(name, np.zeros_like(arr))
     return grads
-
-
-def _conv_input(graph, cache, src):
-    """A conv's input for its backward: kept by the forward, or rebuilt
-    from the batch norm's xhat with the forward's own expression."""
-    if src in graph.rebuilt:
-        return batchnorm_affine(cache.extras[src][0], graph.bn_states[src])
-    return cache.outputs[src]
 
 
 def _accumulate(d_acc, src, part):

@@ -31,7 +31,8 @@ one way a payload enters a graph: before it copies anything,
 ``validate_payload`` checks the fingerprint, each tensor of the graph's
 entry table present with its shape, any optimizer moment shaped like its
 parameter, the step and rng entry sizes, and every float tensor it checks
-for NaN and inf.
+for NaN and inf. ``save_checkpoint`` refuses a float entry that holds NaN
+or inf as stored, naming its layer and entry, and writes nothing.
 """
 
 import math
@@ -61,6 +62,11 @@ ADAM_M_BASE = 8
 ADAM_V_BASE = 12
 
 PARAM_ROLES = {"weight": 0, "bias": 1, "gamma": 2, "beta": 3}
+# role -> the entry's name in errors
+ROLE_NAMES = {ROLE_RUNNING_MEAN: "running_mean", ROLE_RUNNING_VAR: "running_var",
+              ROLE_ADAM_STEP: "adam step", **{base + role: name + suffix
+              for name, role in PARAM_ROLES.items()
+              for base, suffix in ((0, ""), (ADAM_M_BASE, " adam m"), (ADAM_V_BASE, " adam v"))}}
 
 
 def fingerprint(graph) -> int:
@@ -340,14 +346,19 @@ def snapshot_state(graph, rng=None, adam=None) -> CheckpointPayload:
 
 
 def save_checkpoint(path, payload: CheckpointPayload) -> None:
-    """Serialize a payload; identical payloads produce byte-identical files."""
+    """Serialize a payload; identical payloads produce byte-identical files.
+    A float entry that holds NaN or inf as stored is refused, unwritten."""
     chunks = [_FILE_HEADER.pack(MAGIC, VERSION, payload.fingerprint, len(payload.entries))]
     for (lid, role) in sorted(payload.entries):
         arr = payload.entries[(lid, role)]
         dims = arr.shape if arr.ndim else (1,)
+        stored = np.ascontiguousarray(arr, dtype=_entry_dtype(role))
+        if role != ROLE_RNG and not np.isfinite(stored).all():
+            raise CheckpointError(f"{path}: layer {lid} {ROLE_NAMES.get(role, f'role {role}')} "
+                                  "holds a non-finite value; nothing was written")
         chunks.append(_ENTRY_HEADER.pack(lid, role, len(dims)))
         chunks.append(struct.pack(f"<{len(dims)}I", *dims))
-        chunks.append(np.ascontiguousarray(arr, dtype=_entry_dtype(role)).tobytes())
+        chunks.append(stored.tobytes())
     body = b"".join(chunks)
     write_file(path, body + _CHECKSUM.pack(checksum64(body)), CheckpointError)
 
@@ -405,23 +416,23 @@ def validate_payload(graph, payload: CheckpointPayload):
             f"not match the graph ({fingerprint(graph):#018x})"
         )
 
-    def check(key, name, shape, required=False):
+    def check(key, shape, required=False):
         got = payload.entries.get(key)
         if got is None:
             if required:
-                raise CheckpointError(f"{source}: missing {name} for layer {key[0]}")
+                raise CheckpointError(f"{source}: missing {ROLE_NAMES[key[1]]} for layer {key[0]}")
             return
-        where = f"{source}: layer {key[0]} {name}"
+        where = f"{source}: layer {key[0]} {ROLE_NAMES[key[1]]}"
         if got.shape != shape:
             raise CheckpointError(f"{where} shaped {got.shape}, graph has {shape}")
         if not np.isfinite(got).all():
             raise CheckpointError(f"{where} holds a non-finite value")
 
-    for key, name, arr, moment_keys in _state_entries(graph):
-        check(key, name, arr.shape, required=True)
-        for attr, moment_key in moment_keys.items():
-            check(moment_key, f"{name} adam {attr}", arr.shape)
-    check((0, ROLE_ADAM_STEP), "adam step", (1,))
+    for key, _, arr, moment_keys in _state_entries(graph):
+        check(key, arr.shape, required=True)
+        for moment_key in moment_keys.values():
+            check(moment_key, arr.shape)
+    check((0, ROLE_ADAM_STEP), (1,))
     rng_entry = payload.entries.get((0, ROLE_RNG))
     if rng_entry is not None and rng_entry.size != STATE_WORDS:
         raise CheckpointError(f"{source}: rng entry must hold {STATE_WORDS} words")

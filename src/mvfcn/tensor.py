@@ -20,12 +20,13 @@ And its heap. On import this module sets glibc's mmap threshold to
 MMAP_THRESHOLD (64 MiB) and its trim threshold to twice that, for the
 whole process. glibc's own dynamic threshold stops at 32 MiB, so the
 34-39 MB head maps of a 240x320 train step went back to the kernel after
-every pass. An infer forward streams those maps (:class:`ChannelParts`
-and conv2d_forward's ``head``); its largest is L27's, 18.75 MiB, and a
-batch-1 240x320 forward takes under 100 minor page faults a frame. Maps
-over 64 MiB, such as the batch-8 240x320 paper maps, stay on mmap.
-Without glibc's mallopt (macOS, musl) nothing is set. A fresh process
-still faults on its first frame.
+every pass. A forward builds no batch norm that a conv reads, and an
+infer forward streams the head (:class:`ChannelParts`, whose affine the
+conv applies to each window, and conv2d_forward's ``head``): its largest
+map is L27's, 18.75 MiB, and a batch-1 240x320 forward takes under 100
+minor page faults a frame. Maps over 64 MiB, such as the batch-8 240x320
+paper maps, stay on mmap. Without glibc's mallopt (macOS, musl) nothing
+is set. A fresh process still faults on its first frame.
 """
 
 import ctypes
@@ -332,7 +333,8 @@ class _Windows:
     ``other`` channels its GEMM pairs with them take under COLUMN_BUDGET.
     ``work`` counts the elements of the larger of the two for the tallest
     block, and ``at_once`` how many blocks run at a time (:func:`_at_once`).
-    The map is held as :class:`ChannelParts`; an array is one part."""
+    The map is held as :class:`ChannelParts`, whose affine each window
+    applies as it loads; an array is one part with none."""
 
     def __init__(self, src, k: int, s: int, pad, grid, other: int):
         self.src = src if isinstance(src, ChannelParts) else ChannelParts([src])
@@ -364,18 +366,24 @@ class _Windows:
     def columns(self, scratch, i: int, r0: int, rows: int):
         """Block (i, r0, rows)'s (k*k*c, rows*ow) column matrix, row
         (ki, kj, ci) holding channel ci of tap (ki, kj): the block's window
-        is loaded into the window buffer part by part, zero-padded as far
-        as the taps reach, and the columns are one strided copy of it."""
+        is loaded into the window buffer part by part, given the affine,
+        zero-padded as far as the taps reach, and the columns are one
+        strided copy of it."""
         win, col_buf = scratch
         k, s, ow = self.k, self.s, self.ow
         c, h = self.src.shape[1:3]
         win_h = (rows - 1) * s + k
         top = r0 * s - self.pt  # map row of the window's first row
         lo, hi = max(top, 0), min(top + win_h, h)
-        win[:, :lo - top] = win[:, hi - top:win_h] = 0  # pad rows
         reach = slice(self.pl, self.pl + self.cw)
         for channels, part in self.src.slices():
             win[channels, lo - top:hi - top, reach] = part[i, :, lo:hi, :self.cw]
+        if self.src.affine is not None:  # batchnorm_forward's expressions, whole window
+            scale, shift = self.src.affine
+            win[:, :win_h] *= scale[:, None, None]
+            win[:, :win_h] += shift[:, None, None]
+            win[:, :win_h, :self.pl] = win[:, :win_h, reach.stop:] = 0  # pad columns
+        win[:, :lo - top] = win[:, hi - top:win_h] = 0  # pad rows
         cols = col_buf[:k * k * c * rows * ow].reshape(k, k, c, rows, ow)
         sc, sr, sq = win.strides
         # A view made by the constructor, not by as_strided: as_strided reads
@@ -391,7 +399,7 @@ def _column_blocks(windows: _Windows, fn):
     """Im2col, block by block on the pool: yield fn(i, r0, rows, cols) in
     block order, cols being the block's column matrix, built in its
     worker's own buffers."""
-    if windows.k == windows.s == 1 and len(windows.src.arrays) == 1:
+    if windows.k == windows.s == 1 and len(windows.src.arrays) == 1 and windows.src.affine is None:
         # a 1x1 kernel's columns are the block's own rows
         (src,) = windows.src.arrays
         return _parts(lambda b: fn(*b, src[b[0], :, b[1]:b[1] + b[2]].reshape(src.shape[1], -1)),
@@ -414,7 +422,7 @@ def _weight_grad(small, big, weights, s: int):
     a = small.shape[1]
     k = weights.shape[-1]
     windows = _Windows.same_floor(big, k, s, a)
-    acc = np.zeros((a, k * k * big.shape[1]), np.result_type(small, big))
+    acc = np.zeros((a, k * k * big.shape[1]), np.result_type(small, windows.src.dtype))
     # product buffers made here, each given back once the caller has added it
     free = [np.empty_like(acc) for _ in range(_held(len(windows.blocks), windows.work))]
 
@@ -677,17 +685,32 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
     trained or loaded from a checkpoint. Returns (y, cache) where cache feeds
     :func:`batchnorm_backward` (None in infer mode).
 
-    Infer mode also takes :class:`ChannelParts`, an unbuilt concat whose
-    parts the caller gives up: each part is normalized in place, or into a
-    new array when the statistics' dtype is wider, and y is their
-    ChannelParts. The bits are those of the built concat's y.
+    Given :class:`ChannelParts` without an affine, y is left unbuilt for a
+    convolution to read, with the per-channel (scale, shift) attached: in
+    infer mode the running affine on the input's own parts, in train mode
+    (gamma, beta) on xhat. Nothing is written into the parts, and the
+    conv's windows hold the bits of the built y.
     """
     x = _check_nchw(x)
     if x.shape[1] != state.channels:
         raise ShapeError(
             f"input has {x.shape[1]} channels, state holds {state.channels}"
         )
-    if mode == TRAIN:
+    if mode not in (TRAIN, INFER):
+        raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
+    parts = x if isinstance(x, ChannelParts) else None
+    if mode == INFER:
+        if not state.initialized:
+            raise RuntimeError(
+                "batch norm running statistics are uninitialized; train at "
+                "least one step or load them from a checkpoint"
+            )
+        # gamma * (x - mean) * inv_std + beta as one per-channel scale and shift
+        scale = state.gamma * (1.0 / np.sqrt(state.running_var + BN_EPS))
+        affine, cache = (scale, state.beta - state.running_mean * scale), None
+    else:
+        if parts is not None:
+            x = parts.arrays[0] if len(parts.arrays) == 1 else concat_channels(parts.arrays)
         xhat, squares = np.empty_like(x), np.empty_like(x)
 
         def normalize(ix):
@@ -710,42 +733,18 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype)
         state.initialized = True
-        return batchnorm_affine(xhat, state), (xhat, inv_std)
-    if mode == INFER:
-        if not state.initialized:
-            raise RuntimeError(
-                "batch norm running statistics are uninitialized; train at "
-                "least one step or load them from a checkpoint"
-            )
-        # gamma * (x - mean) * inv_std + beta as one per-channel scale and shift
-        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        scale = state.gamma * inv_std
-        shift = state.beta - state.running_mean * scale
-        if isinstance(x, ChannelParts):
-            wider = np.result_type(x.dtype, scale, shift) != x.dtype
-            return ChannelParts([_affine(part, scale[c], shift[c], None if wider else part)
-                                 for c, part in x.slices()]), None
-        return _affine(x, scale, shift), None
-    raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
+        x, affine, cache = xhat, (state.gamma, state.beta), (xhat, inv_std)
+    if parts is not None:
+        return ChannelParts([x] if mode == TRAIN else parts.arrays, affine), cache
+    scale, shift = affine
+    y = np.empty(x.shape, np.result_type(x, scale, shift))
 
-
-def batchnorm_affine(xhat, state: BatchNormState):
-    """The train-mode output ``xhat * gamma + beta``: the forward builds it
-    here, and a backward that did not keep it rebuilds the same bits here."""
-    return _affine(xhat, state.gamma, state.beta)
-
-
-def _affine(x, scale, shift, out=None):
-    """``x * scale + shift`` per channel, by channel halves; ``out=x``
-    applies it in place."""
-    y = np.empty(x.shape, np.result_type(x, scale, shift)) if out is None else out
-
-    def half(ix):
+    def half(ix):  # x * scale + shift, the expressions a window's affine uses
         np.multiply(x[:, ix], scale[ix].reshape(1, -1, 1, 1), out=y[:, ix])
         y[:, ix] += shift[ix].reshape(1, -1, 1, 1)
 
     _by_halves(half, x)
-    return y
+    return y, cache
 
 
 def batchnorm_backward(d_out, state: BatchNormState, cache):
@@ -784,13 +783,14 @@ def batchnorm_backward(d_out, state: BatchNormState, cache):
 
 
 class ChannelParts:
-    """A channel concat left unbuilt: the maps ``inputs``, each
-    (n, c_j, h, w), stacked along axis 1 in order, in their common dtype.
-    The convolution forwards read their windows from it part by part, and
-    an infer-mode batch norm normalizes it in place, so the concatenated
-    map is never allocated. ``shape`` and ``dtype`` are the built map's."""
+    """A map left unbuilt: the maps ``inputs``, each (n, c_j, h, w), stacked
+    along axis 1 in order, in their common dtype, then ``x * scale + shift``
+    per channel when ``affine`` is a (scale, shift) pair. The convolution
+    forwards load each window from it part by part and apply the affine
+    there, so the map is never allocated. ``shape`` and ``dtype`` are the
+    built map's: float64 statistics widen float32 parts."""
 
-    def __init__(self, inputs):
+    def __init__(self, inputs, affine=None):
         if not inputs:
             raise ShapeError("concat needs at least one input")
         arrs = [_check_nchw(np.asarray(t), f"concat input {i}") for i, t in enumerate(inputs)]
@@ -801,8 +801,10 @@ class ChannelParts:
                     f"concat input {i} shaped {a.shape} does not match {base} on "
                     "(batch, h, w)"
                 )
-        self.dtype = np.result_type(*arrs)
-        self.arrays = [a.astype(self.dtype, copy=False) for a in arrs]
+        dtype = np.result_type(*arrs)
+        self.arrays = [a.astype(dtype, copy=False) for a in arrs]
+        self.affine = affine
+        self.dtype = dtype if affine is None else np.result_type(dtype, *affine)
         self.shape = (base[0], sum(a.shape[1] for a in arrs), *base[2:])
 
     def slices(self):

@@ -130,6 +130,22 @@ class TestTrain:
         assert run_cli("train", "--data", dataset_tree, "--config", config_file,
                        "--init", trained_ckpt, "--out", out) == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_diverged_run_exits_4_and_writes_no_checkpoint(self, tmp_path, config_file,
+                                                           capsys):
+        # at 48x64 and this learning rate the losses are NaN from the first
+        # epoch, and so are the weights of the best checkpoint
+        data = tmp_path / "rects"
+        write_dataset_tree(make_rectangles_dataset(8, (48, 64), seed=9), data)
+        config = tmp_path / "diverge.cfg"
+        config.write_text(config_file.read_text().replace("base_lr = 0.001", "base_lr = 1000")
+                          .replace("input_height = 32\ninput_width = 32",
+                                   "input_height = 48\ninput_width = 64"))
+        out = tmp_path / "model.ckpt"
+        assert run_cli("train", "--data", data, "--config", config, "--out", out) == 4
+        assert "holds a non-finite value; nothing was written" in only_error_line(capsys)
+        assert not out.exists()
+
     def test_mismatched_init_exits_4(self, tmp_path, dataset_tree, config_file):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_bytes(b"MVFC" + b"\x00" * 40)
@@ -369,10 +385,19 @@ class TestInfer:
                        "--out", tmp_path / "o") == 2
 
     def test_non_finite_weight_exits_4(self, tmp_path, trained_ckpt, dataset_tree, capsys):
-        payload = load_checkpoint(trained_ckpt)
-        payload.entries[(30, 0)].flat[5] = np.nan
+        # save_checkpoint refuses NaN, so patch a valid file: the sixth value
+        # of layer 30's weight, then the checksum
+        body = bytearray(trained_ckpt.read_bytes()[:-mvfcn.io._CHECKSUM.size])
+        offset = mvfcn.io._FILE_HEADER.size
+        for key, arr in sorted(load_checkpoint(trained_ckpt).entries.items()):
+            offset += mvfcn.io._ENTRY_HEADER.size + 4 * arr.ndim
+            if key == (30, 0):
+                break
+            offset += 4 * arr.size
+        body[offset + 4 * 5:offset + 4 * 6] = np.float32(np.nan).tobytes()
         bad = tmp_path / "nan.ckpt"
-        save_checkpoint(bad, payload)
+        bad.write_bytes(body + mvfcn.io._CHECKSUM.pack(mvfcn.io.checksum64(bytes(body))))
+        assert np.isnan(load_checkpoint(bad).entries[(30, 0)].flat[5])
         assert run_cli("infer", "--ckpt", bad, "--in", dataset_tree / "input" / "in000001.ppm",
                        "--out", tmp_path / "o") == 4
         assert "layer 30 weight holds a non-finite value" in capsys.readouterr().err

@@ -77,3 +77,11 @@ def test_outputs_equal_the_committed_digests():
     committed["digests"] = {name: value for name, value in committed["digests"].items()
                             if not name.startswith("demo/")}
     assert digests.compare(ours, committed) == ([], 0)
+
+
+def test_committed_digests_skip_on_another_machine(monkeypatch):
+    machine = digests.machine
+    monkeypatch.setattr(digests, "machine",
+                        lambda root: {**machine(root), "blas": "openblas 0.3.21"})
+    with pytest.raises(pytest.skip.Exception, match="machine differs in blas$"):
+        test_outputs_equal_the_committed_digests()

@@ -203,8 +203,8 @@ class TestConvCore:
 
     @pytest.mark.parametrize("transposed", [False, True], ids=["conv", "convT"])
     def test_input_is_freed_before_d_x(self, monkeypatch, transposed):
-        # an input only the backward holds (the graph's rebuilt L29 map) is
-        # released once the weight gradient is done, before d_x is allocated
+        # an input only the backward holds is released once the weight
+        # gradient is done, before d_x is allocated
         spec = (TransposeConvSpec if transposed else ConvSpec)(3, 2, 2, 3)
         x_hw, d_hw = ((3, 4), (6, 8)) if transposed else ((6, 8), (3, 4))
         refs = []
@@ -420,7 +420,7 @@ def _twice_concat_graph():
 
 
 class TestHeadTables:
-    """The stand-in mask and the rebuilt batch-norm output against the maps
+    """The stand-in mask and the folded batch-norm output against the maps
     they replace, and the in-place gradient sums against fresh ones."""
 
     @staticmethod
@@ -443,9 +443,9 @@ class TestHeadTables:
         x = r.uniform(size=(2, 3, 32, 48)).astype(np.float32)
         d_final = r.normal(size=(2, 1, 32, 48)).astype(np.float32)
         grads = self._grads(graph, x, d_final, 3)
-        # oracle: with both tables empty the forward keeps L29 and L30, and
-        # backward reads L30's own mask and L29's kept output
-        graph.stand_in, graph.rebuilt = {}, frozenset()
+        # oracle: with both tables empty the forward builds and keeps L29
+        # and keeps L30, and backward reads L30's own mask and L29's output
+        graph.stand_in, graph.folded = {}, frozenset()
         graph.kept = graph._kept()
         assert graph.kept == set(range(1, 33)) - {18, 21, 24, 27, 28}
         self._assert_same(grads, self._grads(graph, x, d_final, 3))

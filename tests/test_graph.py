@@ -27,6 +27,7 @@ from mvfcn import (
     sigmoid,
     summary,
 )
+from mvfcn.tensor import ChannelParts
 
 from conftest import fanout_graph, tiny_graph
 
@@ -330,18 +331,19 @@ class TestActivationLiveness:
         assert not any(e is not None for e in cache.extras.values())
 
     def test_kept_table(self):
-        # conv inputs 1, 2, 3 and activated outputs 2, 3, 7; the batch norm
-        # output 6, read only by conv 7, is rebuilt from its xhat
-        assert fanout_graph().kept == {1, 2, 3, 7}
+        # conv inputs 1, 2, 3, 6 and activated outputs 2, 3, 7; the batch
+        # norm output 6, read only by conv 7, is its xhat with the affine
+        # attached, no bytes of its own
+        assert fanout_graph().kept == {1, 2, 3, 6, 7}
 
-    def test_stand_in_and_rebuilt_tables(self):
+    def test_stand_in_and_folded_tables(self):
         graph = build_mvfcn()
         assert graph.stand_in == {30: 31}
-        assert graph.rebuilt == {29}
-        assert 29 not in graph.kept and 30 not in graph.kept and 31 in graph.kept
+        assert graph.folded == {29}
+        assert 29 in graph.kept and 30 not in graph.kept and 31 in graph.kept
         fanout = fanout_graph()
-        assert fanout.stand_in == {} and fanout.rebuilt == {6}
-        assert 6 not in fanout.kept
+        assert fanout.stand_in == {} and fanout.folded == {6}
+        assert 6 in fanout.kept
 
     def test_tables_need_a_sole_reader(self):
         # a ReLU output that a concat also reads keeps its own mask, and a
@@ -351,19 +353,57 @@ class TestActivationLiveness:
                             L(3, "dropout", (2,), rate=0.5), L(4, "batchnorm", (3,)),
                             L(5, "conv", (4,), 1, 1, 2), L(6, "concat", (5, 4, 2)),
                             L(7, "conv", (6,), 1, 1, 1, "sigmoid")], in_channels=1)
-        assert graph.stand_in == {} and graph.rebuilt == frozenset()
+        assert graph.stand_in == {} and graph.folded == frozenset()
         assert graph.kept == {1, 2, 4, 6, 7}
 
+    def test_a_batch_norm_a_convT_reads_is_built(self):
+        # a convT's backward indexes its small side directly, so only the
+        # conv's batch norm (6) is folded; both give the bits of the walk
+        # that builds every batch norm
+        L = LayerSpec
+
+        def make():
+            return ModelGraph([L(1, "input"), L(2, "conv", (1,), 3, 2, 3, "relu"),
+                               L(3, "batchnorm", (2,)), L(4, "convT", (3,), 3, 2, 2),
+                               L(5, "concat", (4, 1)), L(6, "batchnorm", (5,)),
+                               L(7, "conv", (6,), 3, 1, 1, "sigmoid")],
+                              in_channels=1, input_divisor=2)
+
+        graph, built = make(), make()
+        assert graph.folded == {6} and graph.unbuilt == {5}
+        built.folded = frozenset()
+        r = np.random.default_rng(46)
+        x = r.normal(size=(2, 1, 6, 8)).astype(np.float32)
+        d_final = r.normal(size=(2, 1, 6, 8)).astype(np.float32)
+        steps = []
+        for g in (graph, built):
+            g.initialize_parameters(EngineRng(47))
+            score, cache = forward(g, x, mode="train", rng=EngineRng(48))
+            grads = backward(g, cache, d_final)
+            steps.append([score.tobytes()]
+                         + [grads[lid][name].tobytes() for lid, name, _ in g.parameter_items()]
+                         + [s.running_mean.tobytes() + s.running_var.tobytes()
+                            for s in g.bn_states.values()])
+        assert steps[0] == steps[1]
+        score, cache = forward(graph, x, mode="infer")
+        expected_score, expected_logits = _materialized(graph, x)
+        assert np.array_equal(score, expected_score)
+        assert np.array_equal(cache.logits, expected_logits)
+
     def test_train_cache_holds_the_kept_set(self):
-        # the transposed convs and the head concat are read by no backward;
-        # the head batch norm output is rebuilt and L30's ReLU mask is read
-        # from L31, so a train-mode forward releases all seven
+        # the transposed convs and the head concat are read by no backward,
+        # and L30's ReLU mask is read from L31, so a train-mode forward
+        # releases all six; the head batch norm output is its xhat, held in
+        # its extras, with (gamma, beta) attached
         graph = self._warm_graph()
         x = np.random.default_rng(18).uniform(size=(2, 3, 32, 32)).astype(np.float32)
         _, cache = forward(graph, x, mode="train", rng=EngineRng(19))
-        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28, 29, 30}
+        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28, 30}
         assert sorted(cache.outputs) == sorted(graph.kept)
         assert sorted(cache.extras) == [29, 31]
+        y29, state = cache.outputs[29], graph.bn_states[29]
+        assert isinstance(y29, ChannelParts) and y29.arrays == [cache.extras[29][0]]
+        assert y29.affine[0] is state.gamma and y29.affine[1] is state.beta
 
     def test_backward_consumes_the_cache(self):
         graph = self._warm_graph()
@@ -541,19 +581,17 @@ class TestStreamedHead:
         (_head_graph(), {4}, {6: 8}),
         # the concat has a second reader
         (_head_graph(extra=(LayerSpec(9, "concat", (8, 4)),)), set(), {6: 8}),
-        # the concat lists the graph input
-        (_head_graph(concat=(3, 1)), set(), {6: 8}),
-        # the concat lists one input twice
-        (_head_graph(concat=(3, 3)), set(), {6: 8}),
+        # nothing writes into the parts, so any map may be one: here the
+        # graph input, one input twice, and in the last two cases an input
+        # read after the concat and one a dropout passes through
+        (_head_graph(concat=(3, 1)), {4}, {6: 8}),
+        (_head_graph(concat=(3, 3)), {4}, {6: 8}),
         # a 3x3 conv reads the dropout
         (_head_graph(head_kernel=3), {4}, {}),
-        # a conv reads a concat input after the concat
         (_head_graph(extra=(LayerSpec(9, "conv", (2,), 3, 1, 1),
-                            LayerSpec(10, "concat", (8, 9)))), set(), {6: 8}),
-        # a dropout reads a concat input before the concat, and its output,
-        # the same map in infer mode, is read after it
+                            LayerSpec(10, "concat", (8, 9)))), {4}, {6: 8}),
         (_head_graph(before=(LayerSpec(9, "dropout", (2,), rate=0.5),),
-                     extra=(LayerSpec(10, "concat", (8, 9)),)), set(), {6: 8}),
+                     extra=(LayerSpec(10, "concat", (8, 9)),)), {4}, {6: 8}),
     ], ids=["streamed", "second-reader", "graph-input", "input-twice", "3x3-head",
             "input-read-later", "input-aliased-by-a-dropout"])
     def test_rules_and_the_materialized_reference(self, graph, unbuilt, head):

@@ -475,6 +475,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             apply_state(graph, payload, adam=AdamState(lr=1e-3))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("key, name", [
+        ((30, 0), "weight"),
+        ((29, 5), "running_var"),
+        ((32, 12), "weight adam v"),
+        ((0, 7), "adam step"),
+    ])
+    def test_save_refuses_a_non_finite_entry(self, tmp_path, key, name, value):
+        # as stored: 1e300 in a float64 array is inf in the file's float32
+        _, payload = _optimizer_payload()
+        entry = payload.entries[key] = payload.entries[key].astype(np.float64)
+        entry.flat[-1] = value
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(CheckpointError,
+                           match=f"bad.ckpt: layer {key[0]} {name} holds a non-finite value"):
+            save_checkpoint(path, payload)
+        assert not path.exists()
+
 
 class TestScoremapSidecar:
     def test_exact_round_trip(self, tmp_path):

@@ -85,12 +85,28 @@ def _conv_passes(batch):
     wt, wt1 = normal(*tspec.weight_shape()), normal(*tspec1.weight_shape())
     wt4, wt8 = normal(*tspec4.weight_shape()), normal(*tspec8.weight_shape())
     small = normal(batch, 4, 6, 5)
+
+    def folded(mode, dtype=np.float32):
+        # conv3x3 of a batch norm left unbuilt: the infer affine on two
+        # parts, or (gamma, beta) on xhat, with the train backward too
+        s = BatchNormState.create(5, dtype=dtype)
+        s.gamma[...], s.beta[...] = normal(5), normal(5)
+        s.running_mean[...], s.running_var[...] = normal(5), np.abs(normal(5)) + 0.5
+        s.initialized = True
+        y, _ = batchnorm_forward(ChannelParts([x[:, :2], x[:, 2:]] if mode == "infer" else [x]),
+                                 s, mode)
+        out = conv2d_forward(y, w3, normal(7), spec3)
+        return out if mode == "infer" else (out, conv2d_backward(y, w3, spec3, normal(*out.shape)))
+
     return [
         ("conv3x3", lambda: conv2d_forward(x, w3, normal(7), spec3)),
         ("conv1x1", lambda: conv2d_forward(x, w1, np.arange(3, dtype=np.float32), spec1)),
         ("conv3x3_parts_head", lambda: conv2d_forward(
             ChannelParts([x[:, :2], x[:, 2:]]), w3, normal(7), spec3,
             head=(normal(2, 7, 1, 1), normal(2)))),
+        ("conv3x3_folded_infer", lambda: folded("infer")),
+        ("conv3x3_folded_infer_float64", lambda: folded("infer", np.float64)),
+        ("conv3x3_folded_train", lambda: folded("train")),
         ("conv_backward", lambda: conv2d_backward(x, w3, spec3, normal(batch, 7, 11, 9))),
         ("conv9x9_backward", lambda: conv2d_backward(x, w9, spec9, normal(batch, 4, 11, 9))),
         ("conv_s2_backward", lambda: conv2d_backward(x, w2, spec_s2, normal(batch, 4, 6, 5))),
@@ -117,12 +133,11 @@ def _map_passes(batch):
         y, cache = batchnorm_forward(x, s, "train")
         return y, cache, s.running_mean, s.running_var, batchnorm_backward(d, s, cache)
 
-    def infer_norm(parts=False):
+    def infer_norm():
         s = BatchNormState.create(5)
         s.running_mean[...], s.running_var[...] = normal(5), np.abs(normal(5)) + 0.5
         s.initialized = True
-        return batchnorm_forward(ChannelParts([x[:, :1].copy(), x[:, 1:].copy()]) if parts
-                                 else x, s, "infer")[0]
+        return batchnorm_forward(x, s, "infer")[0]
 
     def masks():
         y, mask = dropout(x, 0.3, EngineRng(5), "train")
@@ -133,7 +148,6 @@ def _map_passes(batch):
         ("relu_backward", lambda: relu_backward(d, x)),
         ("batchnorm_train", train_norm),
         ("batchnorm_infer", infer_norm),
-        ("batchnorm_infer_parts", lambda: infer_norm(parts=True)),
         ("dropout", masks),
         ("concat", lambda: concat_channels([x, normal(batch, 2, 7, 6), d[:, :1]])),
     ]

@@ -15,6 +15,7 @@ from mvfcn import (
     batchnorm_forward,
     build_mvfcn,
     concat_channels,
+    conv2d_backward,
     conv2d_forward,
     convT2d_forward,
     EngineRng,
@@ -335,25 +336,67 @@ class TestChannelParts:
         built = conv(concat_channels(parts), weights, bias, spec)
         assert np.array_equal(conv(ChannelParts(parts), weights, bias, spec), built)
 
-    @pytest.mark.parametrize("state_dtype", [np.float32, np.float64])
-    def test_infer_batchnorm_normalizes_the_parts(self, state_dtype):
-        # in place when the part's dtype holds the result; into new arrays,
-        # the parts untouched, when float64 statistics widen it
-        parts = self._parts()
-        before = [p.copy() for p in parts]
-        r = np.random.default_rng(33)
-        state = BatchNormState.create(6, dtype=state_dtype)
+    @staticmethod
+    def _state(dtype, seed=33):
+        r = np.random.default_rng(seed)
+        state = BatchNormState.create(6, dtype=dtype)
         state.gamma[:], state.beta[:] = r.uniform(0.5, 2.0, 6), r.normal(size=6)
         state.running_mean[:], state.running_var[:] = r.normal(size=6), r.uniform(0.5, 2.0, 6)
         state.initialized = True
-        built, _ = batchnorm_forward(concat_channels(before), state, "infer")
+        return state
+
+    @pytest.mark.parametrize("budget", ["default", 1])
+    @pytest.mark.parametrize("spec", [ConvSpec(3, 1, 6, 4), ConvSpec(3, 2, 6, 4),
+                                      ConvSpec(5, 4, 6, 3), ConvSpec(1, 1, 6, 2)],
+                             ids=["3x3", "3x3-s2", "5x5-s4", "1x1"])
+    @pytest.mark.parametrize("state_dtype", [np.float32, np.float64])
+    def test_infer_batchnorm_leaves_the_parts_to_the_conv(self, monkeypatch, state_dtype,
+                                                          spec, budget):
+        # the parts come back as they were, with the running affine
+        # attached; the conv applies it to each window, and float64
+        # statistics widen the windows as they widen the built y
+        if budget != "default":
+            monkeypatch.setattr(tensor, "COLUMN_BUDGET", budget)
+        parts = self._parts()
+        before = [p.copy() for p in parts]
+        state = self._state(state_dtype)
         y, cache = batchnorm_forward(ChannelParts(parts), state, "infer")
         assert cache is None and isinstance(y, ChannelParts)
-        in_place = state_dtype == np.float32
-        assert all((a is p) == in_place for a, p in zip(y.arrays, parts))
-        assert all(np.array_equal(p, b) != in_place for p, b in zip(parts, before))
-        assert concat_channels(y.arrays).tobytes() == built.tobytes()
-        assert built.dtype == state_dtype
+        assert all(a is p for a, p in zip(y.arrays, parts))
+        assert all(p.tobytes() == b.tobytes() for p, b in zip(parts, before))
+        built, _ = batchnorm_forward(concat_channels(before), state, "infer")
+        assert y.shape == built.shape and y.dtype == built.dtype == state_dtype
+        r = np.random.default_rng(35)
+        weights = r.normal(size=spec.weight_shape()).astype(np.float32)
+        bias = r.normal(size=spec.out_channels).astype(np.float32)
+        got = conv2d_forward(y, weights, bias, spec)
+        assert got.tobytes() == conv2d_forward(built, weights, bias, spec).tobytes()
+
+    @pytest.mark.parametrize("budget", ["default", 1])
+    @pytest.mark.parametrize("spec", [ConvSpec(3, 1, 6, 4), ConvSpec(1, 1, 6, 2)],
+                             ids=["3x3", "1x1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_batchnorm_leaves_xhat_to_the_conv(self, monkeypatch, dtype, spec, budget):
+        # y is xhat with (gamma, beta) attached: the conv's forward and its
+        # d_x, d_w and d_b equal those through the built y
+        if budget != "default":
+            monkeypatch.setattr(tensor, "COLUMN_BUDGET", budget)
+        parts = self._parts(dtype)
+        built_state, state = self._state(dtype), self._state(dtype)
+        built, (xhat, _) = batchnorm_forward(concat_channels(parts), built_state, "train")
+        y, (xhat_parts, _) = batchnorm_forward(ChannelParts(parts), state, "train")
+        assert y.arrays == [xhat_parts] and xhat_parts.tobytes() == xhat.tobytes()
+        assert y.affine[0] is state.gamma and y.affine[1] is state.beta
+        r = np.random.default_rng(36)
+        weights = r.normal(size=spec.weight_shape()).astype(dtype)
+        bias = r.normal(size=spec.out_channels).astype(dtype)
+        out = conv2d_forward(built, weights, bias, spec)
+        assert conv2d_forward(y, weights, bias, spec).tobytes() == out.tobytes()
+        d_out = r.normal(size=out.shape).astype(dtype)
+        folded = conv2d_backward(ChannelParts([xhat], (state.gamma, state.beta)), weights,
+                                 spec, d_out)
+        for got, expected in zip(folded, conv2d_backward(built, weights, spec, d_out)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hout", [1, 2])
