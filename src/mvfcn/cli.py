@@ -2,7 +2,7 @@
 
 Subcommands: summary, train, infer, binarize, eval. A command exits 0 on
 success and otherwise with the raised error's ``exit_code`` (see
-``errors``); argparse usage errors exit 2.
+``errors``), or 1 when it runs out of memory; argparse usage errors exit 2.
 """
 
 import argparse
@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

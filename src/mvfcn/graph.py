@@ -110,11 +110,12 @@ class ModelGraph:
         self.last_reader = {src: rs[-1].id for src, rs in readers.items()}
         sole = {src: rs[0] for src, rs in readers.items()
                 if len(rs) == 1 and rs[0].inputs == (src,)}
-        # ReLU id -> the dropout that alone reads it: the dropout's output,
-        # x * mask * scale with scale >= 1, is positive exactly where the
-        # ReLU output is and the mask keeps; where the mask drops, the
-        # gradient reaching the ReLU is already a signed zero (or NaN), which
-        # a 0 or a 1 leaves as it is. So its output stands in for the mask
+        # ReLU id -> the dropout that alone reads it, which a train forward
+        # runs in place on the ReLU output, so the ReLU backward reads the
+        # overwritten map. It stands in for the mask: x * mask * scale with
+        # scale >= 1 is positive exactly where the ReLU output is and the
+        # mask keeps; where the mask drops, the gradient reaching the ReLU
+        # is already a signed zero (or NaN), which a 0 or a 1 leaves as it is
         self.stand_in = {src: r.id for src, r in sole.items()
                          if self.by_id[src].activation == "relu" and r.kind == "dropout"}
         # batch-norm ids that one conv alone reads, never built: the conv
@@ -146,12 +147,10 @@ class ModelGraph:
 
     def _kept(self) -> frozenset:
         """The activations some backward reads, which a train-mode forward
-        keeps: each conv's input (for its weight gradient), and each ReLU or
-        sigmoid output (for its mask) or its stand-in."""
+        keeps: each conv's input (for its weight gradient) and each activated
+        output (for its ReLU or sigmoid mask)."""
         conv_inputs = {l.inputs[0] for l in self.layers if l.kind in CONV_KINDS}
-        masks = {self.stand_in.get(l.id, l.id) for l in self.layers
-                 if l.activation != "none"}
-        return frozenset(conv_inputs | masks)
+        return frozenset(conv_inputs | {l.id for l in self.layers if l.activation != "none"})
 
     def _infer_channels(self) -> dict[int, int]:
         channels = {}
@@ -316,8 +315,8 @@ class ForwardCache:
     and no output of a conv in ``graph.head`` or of the dropout after it
     ever enters the cache. A train-mode cache also holds ``graph.kept``,
     the activations backward reads, plus the batch-norm and dropout
-    residuals in ``extras``. It holds no ReLU output whose mask
-    ``graph.stand_in`` reads from the dropout after it. :func:`backward`
+    residuals in ``extras``. A dropout in ``graph.stand_in`` runs in place
+    on its ReLU output, so the two ids hold one array. :func:`backward`
     consumes it: it pops each layer's entries as it walks.
     """
 
@@ -334,7 +333,8 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     final activation is a sigmoid the cache also records its pre-activation
     logits so a fused loss can skip the saturating exponent. Each
     activation is dropped after its last reader, except that a train-mode
-    forward keeps those in ``graph.kept`` for :func:`backward`.
+    forward keeps those in ``graph.kept`` for :func:`backward`. A dropout
+    that alone reads a ReLU output (``graph.stand_in``) overwrites it.
 
     A batch norm in ``graph.folded`` hands its conv a :class:`ChannelParts`
     with its affine attached, applied window by window. An infer-mode
@@ -388,7 +388,9 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             out, bn_cache = batchnorm_forward(src, graph.bn_states[layer.id], mode)
             cache.extras[layer.id] = bn_cache
         else:  # dropout
-            out, mask = dropout(cache.outputs[layer.inputs[0]], layer.rate, rng, mode)
+            src = cache.outputs[layer.inputs[0]]
+            out, mask = dropout(src, layer.rate, rng, mode,
+                                out=src if layer.inputs[0] in graph.stand_in else None)
             cache.extras[layer.id] = mask
         cache.outputs[made.id] = out
         for src in set(layer.inputs):
@@ -419,28 +421,24 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
 
     The walk consumes the cache: it pops each layer's output and extras
     when it reaches that layer, since every reader of a layer comes later
-    in the forward order and so earlier in this walk. The one exception
-    is a stand-in (``graph.stand_in``): a dropout output is held until its
-    ReLU layer reads its mask from it. A conv whose input is in
-    ``graph.folded`` gets the batch norm's xhat with (gamma, beta)
-    attached, as the forward did. Each gradient is dropped once it is
-    accumulated, and fan-in sums, ReLU and dropout backward write into
-    arrays the walk owns. A spent cache is empty, and a second backward on
-    it raises RuntimeError.
+    in the forward order and so earlier in this walk. A ReLU layer in
+    ``graph.stand_in`` reads its mask from the map its dropout overwrote.
+    A conv whose input is in ``graph.folded`` gets the batch norm's xhat
+    with (gamma, beta) attached, as the forward did. Each gradient is
+    dropped once it is accumulated, and fan-in sums, ReLU and dropout
+    backward write into arrays the walk owns. A spent cache is empty, and a
+    second backward on it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
     if not cache.outputs:
         raise RuntimeError("forward cache is empty; backward consumes it")
     last = graph.layers[-1]
-    stand_ins = set(graph.stand_in.values())
     # a copy: ReLU and dropout backward run in place on the gradients of the walk
     d_acc: dict[int, np.ndarray] = {last.id: np.array(d_final)}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for layer in reversed(graph.layers):
-        # a ReLU layer reads its stand-in's output, held until then
-        key = None if layer.id in stand_ins else graph.stand_in.get(layer.id, layer.id)
-        out = cache.outputs.pop(key, None)
+        out = cache.outputs.pop(layer.id, None)
         extra = cache.extras.pop(layer.id, None)
         d = d_acc.pop(layer.id, None)
         if d is None or layer.kind == "input":

@@ -35,7 +35,9 @@ for NaN and inf. ``save_checkpoint`` refuses a float entry that holds NaN
 or inf as stored, naming its layer and entry, and writes nothing.
 """
 
+import contextlib
 import math
+import os
 import re
 import struct
 import zlib
@@ -105,8 +107,28 @@ def make_parent(path, error=DataError) -> Path:
 
 
 def write_file(path, data: bytes, error=DataError) -> None:
-    """Write ``data`` to ``path``, creating its parent directory on demand."""
-    _file_op(make_parent(path, error), error, lambda p: p.write_bytes(data), "write")
+    """Write ``data`` to ``path``, creating its parent directory on demand.
+
+    The bytes go to a temp file beside the target, which then replaces it,
+    so a process killed mid-write leaves the previous file whole. On any
+    failure the temp file is removed. A symlink is followed, and a target
+    that is not a regular file (a device, a FIFO) is written in place.
+    """
+    path = make_parent(path, error)
+    if path.exists() and not path.is_file():
+        _file_op(path, error, lambda p: p.write_bytes(data), "write")
+        return
+    target = path.resolve() if path.is_symlink() else path
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise error(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,8 @@ _PIN = _BlasPin(_blas_threads())
 
 # glibc's mmap threshold, above which an allocation gets its own map that
 # free() hands back to the kernel. Its dynamic default stops at 32 MiB, so
-# the 34-39 MB maps of a 240x320 train step (L28's concat, L29's batch
-# norm, L30's output: 128 x 240 x 320 x 4 B = 39 MB) would be mapped,
+# the 34-39 MB maps of a 240x320 train step (L28's concat, L29's xhat,
+# L30's output: 128 x 240 x 320 x 4 B = 39 MB) would be mapped,
 # faulted in and unmapped on every pass; an infer forward builds none of
 # them, and its largest map is L27's, 18.75 MiB, or 37.5 MiB at batch 2.
 # 64 MiB clears the largest map of one 240x320 frame and keeps the
@@ -839,11 +839,12 @@ def concat_backward(d_out, channel_sizes):
 DROPOUT_CHUNK = 1 << 20
 
 
-def dropout(x, rate: float, rng, mode: str = TRAIN):
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
+def dropout(x, rate: float, rng, mode: str = TRAIN, out=None):
+    """Inverted dropout: zero with probability ``rate``, scale survivors;
+    ``out=x`` applies it in place.
 
     Returns (y, keep_mask); the mask is None whenever the op is an identity
-    (infer mode or rate 0).
+    (infer mode or rate 0), and y is then x itself.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -858,7 +859,7 @@ def dropout(x, rate: float, rng, mode: str = TRAIN):
     for i in range(0, flat.size, DROPOUT_CHUNK):
         part = flat[i:i + DROPOUT_CHUNK]
         np.greater_equal(rng.uniform(size=part.size), rate, out=part)
-    return _scale_kept(x, mask, rate), mask
+    return _scale_kept(x, mask, rate, out), mask
 
 
 def dropout_backward(d_out, mask, rate: float, out=None):

@@ -1,5 +1,8 @@
 """End-to-end command-line interface behavior and exit codes."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,11 @@ def only_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def _no_replace(src, dst):
+    """An ``os.replace`` that fails, as a full or broken disk would."""
+    raise OSError(errno.EIO, "Input/output error")
 
 
 @pytest.fixture()
@@ -144,6 +152,31 @@ class TestTrain:
         out = tmp_path / "model.ckpt"
         assert run_cli("train", "--data", data, "--config", config, "--out", out) == 4
         assert "holds a non-finite value; nothing was written" in only_error_line(capsys)
+        assert not out.exists()
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, dataset_tree,
+                                                       config_file, trained_ckpt, capsys,
+                                                       monkeypatch):
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(trained_ckpt.read_bytes())
+
+        monkeypatch.setattr(os, "replace", _no_replace)
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--out", out) == 4
+        assert f"cannot write {out}" in only_error_line(capsys)
+        assert out.read_bytes() == trained_ckpt.read_bytes()
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_of_memory_exits_1(self, tmp_path, dataset_tree, config_file, capsys,
+                                   monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(mvfcn.cli, "train_loop", exhausted)
+        out = tmp_path / "model.ckpt"
+        assert run_cli("train", "--data", dataset_tree, "--config", config_file,
+                       "--out", out) == 1
+        assert only_error_line(capsys) == "error: out of memory\n"
         assert not out.exists()
 
     def test_mismatched_init_exits_4(self, tmp_path, dataset_tree, config_file):
@@ -340,6 +373,20 @@ class TestInfer:
         assert run_cli("infer", "--ckpt", trained_ckpt, "--in", tmp_path / "gray.pgm",
                        tmp_path / "rgb.ppm", "--out", out_dir, "--save-scores") == 0
         assert (out_dir / "gray.f32").read_bytes() == (out_dir / "rgb.f32").read_bytes()
+
+    def test_failed_write_keeps_the_previous_map(self, tmp_path, trained_ckpt, dataset_tree,
+                                                 capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        previous = out_dir / "in000001.pgm"
+        previous.write_bytes(b"previous")
+
+        monkeypatch.setattr(os, "replace", _no_replace)
+        assert run_cli("infer", "--ckpt", trained_ckpt, "--in",
+                       dataset_tree / "input" / "in000001.ppm", "--out", out_dir) == 3
+        assert f"cannot write {previous}" in only_error_line(capsys)
+        assert previous.read_bytes() == b"previous"
+        assert list(out_dir.iterdir()) == [previous]
 
     def test_out_on_a_file_exits_3(self, trained_ckpt, dataset_tree, blocker, capsys,
                                    monkeypatch):

@@ -340,7 +340,7 @@ class TestActivationLiveness:
         graph = build_mvfcn()
         assert graph.stand_in == {30: 31}
         assert graph.folded == {29}
-        assert 29 in graph.kept and 30 not in graph.kept and 31 in graph.kept
+        assert {29, 30, 31} <= graph.kept
         fanout = fanout_graph()
         assert fanout.stand_in == {} and fanout.folded == {6}
         assert 6 in fanout.kept
@@ -355,6 +355,14 @@ class TestActivationLiveness:
                             L(7, "conv", (6,), 1, 1, 1, "sigmoid")], in_channels=1)
         assert graph.stand_in == {} and graph.folded == frozenset()
         assert graph.kept == {1, 2, 4, 6, 7}
+        # so the dropout leaves the ReLU output the concat reads as it was
+        graph.initialize_parameters(EngineRng(43))
+        x = np.random.default_rng(44).normal(size=(2, 1, 5, 6)).astype(np.float32)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(45))
+        p = graph.params[2]
+        relu_out = relu(conv2d_forward(x, p["weight"], p["bias"], graph.specs[2]))
+        assert cache.outputs[2].tobytes() == relu_out.tobytes()
+        assert cache.extras[3] is not None and not cache.extras[3].all()
 
     def test_a_batch_norm_a_convT_reads_is_built(self):
         # a convT's backward indexes its small side directly, so only the
@@ -392,14 +400,16 @@ class TestActivationLiveness:
 
     def test_train_cache_holds_the_kept_set(self):
         # the transposed convs and the head concat are read by no backward,
-        # and L30's ReLU mask is read from L31, so a train-mode forward
-        # releases all six; the head batch norm output is its xhat, held in
-        # its extras, with (gamma, beta) attached
+        # so a train-mode forward releases all five; L31's dropout runs in
+        # place on L30's ReLU output, so the two hold one array; the head
+        # batch norm output is its xhat, held in its extras, with
+        # (gamma, beta) attached
         graph = self._warm_graph()
         x = np.random.default_rng(18).uniform(size=(2, 3, 32, 32)).astype(np.float32)
         _, cache = forward(graph, x, mode="train", rng=EngineRng(19))
-        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28, 30}
+        assert set(graph.kept) == set(range(1, 33)) - {18, 21, 24, 27, 28}
         assert sorted(cache.outputs) == sorted(graph.kept)
+        assert cache.outputs[30] is cache.outputs[31]
         assert sorted(cache.extras) == [29, 31]
         y29, state = cache.outputs[29], graph.bn_states[29]
         assert isinstance(y29, ChannelParts) and y29.arrays == [cache.extras[29][0]]

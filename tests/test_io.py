@@ -1,8 +1,10 @@
 """Image codec, ground-truth decoding, dataset discovery, checkpoints,
 and config parsing."""
 
+import errno
 import hashlib
 import math
+import os
 import re
 import struct
 from pathlib import Path
@@ -574,6 +576,56 @@ class TestWriteBoundary:
         blocker.write_bytes(b"")
         with pytest.raises(error, match="cannot write"):
             write(blocker / name)
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name, step):
+        write, error = WRITERS[name]
+        path = tmp_path / name
+        path.write_bytes(b"previous")
+
+        def half_write(self, data):  # stops part way, as on a full disk
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def no_replace(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_bytes", half_write)
+        else:
+            monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(error, match=f"cannot write {re.escape(str(path))}"):
+            write(path)
+        assert path.read_bytes() == b"previous"
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+    def test_a_write_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "report.txt"
+        for data in (b"first, and longer", b"second"):
+            io.write_file(path, data)
+            assert path.read_bytes() == data
+            assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        target.write_bytes(b"previous")
+        link.symlink_to(target)
+        io.write_file(link, b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_a_special_file_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            io.write_file(fifo, b"through")
+            assert os.read(reader, 64) == b"through"
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
 
     def test_make_parent_creates_the_directory_only(self, tmp_path):
         path = tmp_path / "a" / "b" / "m.ckpt"

@@ -143,12 +143,19 @@ def _map_passes(batch):
         y, mask = dropout(x, 0.3, EngineRng(5), "train")
         return y, mask, dropout_backward(d, mask, 0.3)
 
+    def masks_in_place():
+        y = x.copy()
+        out, mask = dropout(y, 0.3, EngineRng(5), "train", out=y)
+        assert out is y
+        return y, mask
+
     return [
         ("relu", lambda: relu(x)),
         ("relu_backward", lambda: relu_backward(d, x)),
         ("batchnorm_train", train_norm),
         ("batchnorm_infer", infer_norm),
         ("dropout", masks),
+        ("dropout_in_place", masks_in_place),
         ("concat", lambda: concat_channels([x, normal(batch, 2, 7, 6), d[:, :1]])),
     ]
 
@@ -192,6 +199,15 @@ def test_train_loop_bytes_do_not_depend_on_the_worker_count(tmp_path):
 
 
 blas = pytest.mark.skipif(tensor._PIN.blas is None, reason="no OpenBLAS thread control")
+
+
+def test_an_openblas_build_gets_its_thread_control():
+    # without it every pass runs in order on one core, and the tests
+    # marked blas skip rather than fail
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in build.get("name", "").lower():
+        pytest.skip(f"numpy's BLAS is {build.get('name')!r}, not OpenBLAS")
+    assert tensor._PIN.blas is not None, build["name"]
 
 
 @blas

@@ -460,6 +460,22 @@ class TestDropout:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_in_place_equals_the_out_of_place_draw(self, dtype, rate):
+        x = np.random.default_rng(5).normal(size=(2, 4, 6, 7)).astype(dtype)
+        x[0, 0, 0, :3] = [-0.0, 0.0, -1.5]
+        rng, ref = EngineRng(9), EngineRng(9)
+        want, want_mask = dropout(x, rate, ref, "train")
+        got = x.copy()
+        y, mask = dropout(got, rate, rng, "train", out=got)
+        assert y is got
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+        if rate:
+            assert np.array_equal(mask, want_mask) and not mask.all()
+        else:
+            assert mask is None and want_mask is None
+        assert np.array_equal(rng.state_words(), ref.state_words())
 
     @pytest.mark.parametrize("size", [
         (1, 1, 1000, 1000),   # below the chunk
