@@ -32,6 +32,7 @@ from .tensor import (
     dropout_backward,
     relu,
     relu_backward,
+    relu_mask,
     sigmoid,
     sigmoid_backward,
 )
@@ -315,9 +316,12 @@ class ForwardCache:
     and no output of a conv in ``graph.head`` or of the dropout after it
     ever enters the cache. A train-mode cache also holds ``graph.kept``,
     the activations backward reads, plus the batch-norm and dropout
-    residuals in ``extras``. A dropout in ``graph.stand_in`` runs in place
-    on its ReLU output, so the two ids hold one array. :func:`backward`
-    consumes it: it pops each layer's entries as it walks.
+    residuals in ``extras``. A kept ReLU output that no conv reads and no
+    dropout overwrites is held as its bool map x > 0 once its last reader
+    has run. A dropout in ``graph.stand_in`` runs in place on its ReLU
+    output, so the two ids hold one array until :func:`backward` reaches
+    the conv that alone reads the dropout. :func:`backward` consumes the
+    cache: it pops each layer's entries as it walks.
     """
 
     mode: str
@@ -355,7 +359,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     _check_input(graph, *x.shape[1:])
 
     cache = ForwardCache(mode=mode)
-    kept = graph.kept if mode == TRAIN else ()
+    kept, masked = (graph.kept, _masked(graph)) if mode == TRAIN else ((), ())
     unbuilt, heads = (graph.unbuilt, graph.head) if mode == INFER else ((), {})
     # the dropout and the 1x1 conv of each head, run by the conv before them
     streamed = {r for lid in heads.values() for r in (lid, graph.by_id[lid].inputs[0])}
@@ -394,12 +398,37 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
             cache.extras[layer.id] = mask
         cache.outputs[made.id] = out
         for src in set(layer.inputs):
-            if graph.last_reader[src] == layer.id and src not in kept:
+            if graph.last_reader[src] != layer.id:
+                continue
+            if src not in kept:
                 del cache.outputs[src]
+            elif src in masked:
+                cache.outputs[src] = relu_mask(cache.outputs[src])
     score = cache.outputs[last.id]
     if cache.logits is None:
         cache.logits = score
     return score, cache
+
+
+def _masked(graph) -> set:
+    """The kept ReLU outputs that no conv reads and no dropout overwrites.
+    Backward reads only their x > 0, so a train forward keeps that bool map
+    of each from its release on."""
+    conv_inputs = {l.inputs[0] for l in graph.layers if l.kind in CONV_KINDS}
+    return {lid for lid in graph.kept - conv_inputs - graph.stand_in.keys()
+            if graph.by_id[lid].activation == "relu"}
+
+
+def _stand_in_under(graph, layer):
+    """The ReLU in ``graph.stand_in`` whose dropout the conv ``layer`` alone
+    reads, or None. After that conv's backward, only the ReLU's backward
+    reads the map the two share, and only its x > 0."""
+    dropout_layer = graph.by_id[layer.inputs[0]]
+    relu_id = dropout_layer.inputs[0] if dropout_layer.kind == "dropout" else None
+    if graph.stand_in.get(relu_id) != dropout_layer.id or any(
+            dropout_layer.id in l.inputs for l in graph.layers if l is not layer):
+        return None
+    return relu_id
 
 
 def _activate(layer, z):
@@ -422,12 +451,15 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     The walk consumes the cache: it pops each layer's output and extras
     when it reaches that layer, since every reader of a layer comes later
     in the forward order and so earlier in this walk. A ReLU layer in
-    ``graph.stand_in`` reads its mask from the map its dropout overwrote.
-    A conv whose input is in ``graph.folded`` gets the batch norm's xhat
-    with (gamma, beta) attached, as the forward did. Each gradient is
-    dropped once it is accumulated, and fan-in sums, ReLU and dropout
-    backward write into arrays the walk owns. A spent cache is empty, and a
-    second backward on it raises RuntimeError.
+    ``graph.stand_in`` reads its mask from the map its dropout overwrote:
+    the conv that alone reads the dropout leaves that map's x > 0 in the
+    cache and takes the float map out of it, so the conv backward frees
+    the map before it allocates its input gradient. A conv whose input is
+    in ``graph.folded`` gets the batch norm's xhat with (gamma, beta)
+    attached, as the forward did. Each gradient is dropped once it is
+    accumulated, and fan-in sums, ReLU, dropout and batch-norm backward
+    write into arrays the walk owns. A spent cache is empty, and a second
+    backward on it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
@@ -451,9 +483,15 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
         del out  # released before the conv backward allocates
         if layer.kind in CONV_KINDS:
             src = layer.inputs[0]
+            relu_id = _stand_in_under(graph, layer)
+            if relu_id is not None:
+                # the ReLU keeps x > 0, and the conv gets the float map with
+                # no name held, so it is freed before the conv allocates d_x
+                cache.outputs[relu_id] = relu_mask(cache.outputs[src])
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
             # nothing consumes the gradient w.r.t. the graph input
-            d_x, d_w, d_b = conv_backward(cache.outputs[src],
+            d_x, d_w, d_b = conv_backward(cache.outputs.pop(src) if relu_id is not None
+                                          else cache.outputs[src],
                                           graph.params[layer.id]["weight"],
                                           graph.specs[layer.id], d,
                                           input_grad=graph.by_id[src].kind != "input")
@@ -466,7 +504,10 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
             for src, part in zip(layer.inputs, concat_backward(d, widths)):
                 _accumulate(d_acc, src, part)
         elif layer.kind == "batchnorm":
-            d_x, d_g, d_b = batchnorm_backward(d, graph.bn_states[layer.id], extra)
+            # d_x is built in d, which the walk owns, when that keeps its dtype
+            in_place = np.result_type(d, extra[0]) == d.dtype
+            d_x, d_g, d_b = batchnorm_backward(d, graph.bn_states[layer.id], extra,
+                                               out=d if in_place else None)
             grads[layer.id] = {"gamma": d_g, "beta": d_b}
             _accumulate(d_acc, layer.inputs[0], d_x)
         else:  # dropout
@@ -482,8 +523,8 @@ def _accumulate(d_acc, src, part):
     """Add ``part`` into src's gradient, in place when the dtypes allow.
 
     The walk owns every array in ``d_acc``: a conv's or batch norm's fresh
-    d_x, a ReLU or dropout backward run in place on one, or a view that
-    concat_backward split from one of these. Views split from one array
+    d_x, a ReLU, dropout or batch-norm backward run in place on one, or a
+    view that concat_backward split from one of these. Views split from one array
     never overlap, so a sum written into one changes no other gradient,
     even when a concat lists the same source twice.
     """

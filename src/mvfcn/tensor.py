@@ -635,6 +635,15 @@ def relu_backward(d_out, x, out=None):
     return out
 
 
+def relu_mask(x):
+    """The bool map x > 0: all that :func:`relu_backward` reads of a ReLU
+    output, in a quarter of a float32 map's bytes."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, bool)
+    _elementwise(lambda a, o: np.greater(a, 0, out=o), x, out)
+    return out
+
+
 def sigmoid(x):
     """Numerically stable logistic function, output in (0, 1)."""
     x = np.asarray(x)
@@ -747,19 +756,21 @@ def batchnorm_forward(x, state: BatchNormState, mode: str = TRAIN):
     return y, cache
 
 
-def batchnorm_backward(d_out, state: BatchNormState, cache):
+def batchnorm_backward(d_out, state: BatchNormState, cache, out=None):
     """Gradients through the train-mode normalization.
 
     d_x = inv_std / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-    with dxhat = d_out * gamma, built in d_x and one scratch array.
-    Returns (d_x, d_gamma, d_beta).
+    with dxhat = d_out * gamma, built in d_x and one scratch array. Each
+    channel half reads d_out before it writes d_x, so ``out=d_out``, when
+    d_out has the dtype of d_x, builds d_x in the upstream gradient, with
+    the same bytes. Returns (d_x, d_gamma, d_beta).
     """
     if cache is None:
         raise RuntimeError("batch norm backward needs a train-mode cache")
     xhat, inv_std = cache
     d_out = np.asarray(d_out)
     m = d_out.shape[0] * d_out.shape[2] * d_out.shape[3]
-    d_x = np.empty(d_out.shape, np.result_type(d_out, xhat))
+    d_x = np.empty(d_out.shape, np.result_type(d_out, xhat)) if out is None else out
     scratches = np.empty_like(d_x)
 
     def half(ix):

@@ -419,6 +419,15 @@ def _twice_concat_graph():
                       in_channels=1)
 
 
+def _shared_dropout_graph():
+    """A ReLU's stand-in dropout that two convs read."""
+    L = LayerSpec
+    return ModelGraph([L(1, "input"), L(2, "conv", (1,), 3, 1, 3, "relu"),
+                       L(3, "dropout", (2,), rate=0.5), L(4, "conv", (3,), 1, 1, 2, "relu"),
+                       L(5, "conv", (3,), 3, 1, 2, "relu"), L(6, "concat", (4, 5)),
+                       L(7, "conv", (6,), 1, 1, 1, "sigmoid")], in_channels=1)
+
+
 class TestHeadTables:
     """The stand-in mask and the folded batch-norm output against the maps
     they replace, and the in-place gradient sums against fresh ones."""
@@ -450,6 +459,18 @@ class TestHeadTables:
         assert graph.kept == set(range(1, 33)) - {18, 21, 24, 27, 28}
         self._assert_same(grads, self._grads(graph, x, d_final, 3))
 
+    def test_a_stand_in_dropout_two_convs_read(self):
+        # the float map stays in the cache until the second conv's backward
+        graph = _shared_dropout_graph()
+        assert graph.stand_in == {2: 3}
+        graph.initialize_parameters(EngineRng(11))
+        r = np.random.default_rng(12)
+        x = r.normal(size=(2, 1, 6, 5)).astype(np.float32)
+        d_final = r.normal(size=(2, 1, 6, 5)).astype(np.float32)
+        grads = self._grads(graph, x, d_final, 13)
+        graph.stand_in = {}  # oracle: the dropout writes a map of its own
+        self._assert_same(grads, self._grads(graph, x, d_final, 13))
+
     @pytest.mark.parametrize("make, shape", [(build_mvfcn, (2, 3, 32, 32)),
                                              (_twice_concat_graph, (2, 1, 6, 5))])
     def test_in_place_sums_match_fresh_ones(self, monkeypatch, make, shape):
@@ -465,6 +486,23 @@ class TestHeadTables:
 
         monkeypatch.setattr(graph_module, "_accumulate", fresh)
         self._assert_same(grads, self._grads(graph, x, d_final, 6))
+
+    def test_batch_norm_gradient_that_would_narrow_is_not_in_place(self, monkeypatch):
+        # a float64 input through float32 weights: L29's xhat is float64,
+        # its upstream gradient float32, so d_x gets an array of its own
+        graph = build_mvfcn()
+        graph.initialize_parameters(EngineRng(8))
+        r = np.random.default_rng(9)
+        x = r.uniform(size=(2, 3, 32, 32))
+        d_final = r.normal(size=(2, 1, 32, 32)).astype(np.float32)
+        grads = self._grads(graph, x, d_final, 10)
+        assert grads[29]["gamma"].dtype == np.float64
+
+        def allocating(d_out, state, cache, out=None):
+            return batchnorm_backward(d_out, state, cache)
+
+        monkeypatch.setattr(graph_module, "batchnorm_backward", allocating)
+        self._assert_same(grads, self._grads(graph, x, d_final, 10))
 
     def test_sum_that_would_narrow_is_not_in_place(self):
         acc = np.ones(3, np.float32)
@@ -571,9 +609,26 @@ class TestBatchNormGradients:
         assert d_gamma.tobytes() == (d_out * xhat).sum(axis=(0, 2, 3)).tobytes()
         assert d_beta.tobytes() == d_out.sum(axis=(0, 2, 3)).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_matches_allocating_form(self, dtype):
+        # channel halves big enough for the pool to run them
+        x, state, d_out = self._train_pass(dtype, (2, 8, 128, 128))
+        _, cache = batchnorm_forward(x, state, "train")
+        d_before = d_out.copy()
+        expected = batchnorm_backward(d_out, state, cache)
+        assert d_out.tobytes() == d_before.tobytes()  # without out, d_out is left as it was
+        for n in (1, tensor._cores.workers):
+            d = d_out.copy()
+            with tensor.workers(n):
+                got = batchnorm_backward(d, state, cache, out=d)
+            assert got[0] is d
+            for value, reference in zip(got, expected):
+                assert value.tobytes() == reference.tobytes()
+
     def test_train_pass_holds_two_input_sized_arrays(self):
-        # forward: xhat and y; backward: d_x and one scratch array. The
-        # unfused formulas held a third temporary in each pass
+        # forward: xhat and y; backward: d_x and one scratch array, or the
+        # scratch array alone when d_x is built in d_out. The unfused
+        # formulas held a third temporary in each pass
         x, state, d_out = self._train_pass(np.float32, (2, 16, 64, 64))
         tracemalloc.start()
         try:
@@ -584,10 +639,15 @@ class TestBatchNormGradients:
             before = tracemalloc.get_traced_memory()[0]
             batchnorm_backward(d_out, state, cache)
             backward_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batchnorm_backward(d_out, state, cache, out=d_out)
+            in_place_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert forward_peak < 2.5 * x.nbytes
         assert backward_peak < 2.5 * x.nbytes
+        assert in_place_peak < 1.5 * x.nbytes
 
 
 class TestDropoutGradient:

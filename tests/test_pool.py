@@ -152,6 +152,7 @@ def _map_passes(batch):
     return [
         ("relu", lambda: relu(x)),
         ("relu_backward", lambda: relu_backward(d, x)),
+        ("relu_mask", lambda: tensor.relu_mask(x)),
         ("batchnorm_train", train_norm),
         ("batchnorm_infer", infer_norm),
         ("dropout", masks),
