@@ -119,6 +119,20 @@ class ModelGraph:
         # is already a signed zero (or NaN), which a 0 or a 1 leaves as it is
         self.stand_in = {src: r.id for src, r in sole.items()
                          if self.by_id[src].activation == "relu" and r.kind == "dropout"}
+        # conv id -> the ReLU whose values its backward reads last: the
+        # ReLU's earliest conv reader, a reader of its stand-in dropout
+        # counting for the ReLU. After it only the ReLU's backward reads
+        # the map, and only its x > 0, so the conv's backward leaves that
+        # bool map in the cache and gets the float map with no name held,
+        # which frees it before the conv allocates d_x. A train forward
+        # holds a ReLU output that no conv reads as x > 0 from its release
+        # on, so every ReLU backward of the walk reads a bool map
+        self.hand_over = {}
+        for relu_id in (l.id for l in self.layers if l.activation == "relu"):
+            convs = [r.id for r in readers.get(self.stand_in.get(relu_id, relu_id), ())
+                     if r.kind in CONV_KINDS]
+            if convs:
+                self.hand_over[convs[0]] = relu_id
         # batch-norm ids that one conv alone reads, never built: the conv
         # gets the input with the affine attached (a ChannelParts). A convT's
         # backward indexes its small side directly, so it gets built maps
@@ -310,18 +324,12 @@ class ForwardCache:
 
     Each activation is released right after the last layer that reads it,
     so an infer-mode cache ends with the final layer's output alone. A
-    batch norm in ``graph.folded`` holds its output as a
-    :class:`ChannelParts`, its input or xhat with its affine attached. An
-    infer-mode walk also holds a concat in ``graph.unbuilt`` as its parts,
-    and no output of a conv in ``graph.head`` or of the dropout after it
-    ever enters the cache. A train-mode cache also holds ``graph.kept``,
-    the activations backward reads, plus the batch-norm and dropout
-    residuals in ``extras``. A kept ReLU output that no conv reads and no
-    dropout overwrites is held as its bool map x > 0 once its last reader
-    has run. A dropout in ``graph.stand_in`` runs in place on its ReLU
-    output, so the two ids hold one array until :func:`backward` reaches
-    the conv that alone reads the dropout. :func:`backward` consumes the
-    cache: it pops each layer's entries as it walks.
+    train-mode cache also holds ``graph.kept``, the activations backward
+    reads, plus the batch-norm and dropout residuals in ``extras``. The
+    comments on the tables of :class:`ModelGraph` (``stand_in``,
+    ``hand_over``, ``folded``, ``unbuilt``, ``head``) say what each changes
+    in an entry. :func:`backward` consumes the cache: it pops each layer's
+    entries as it walks.
     """
 
     mode: str
@@ -337,17 +345,13 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     final activation is a sigmoid the cache also records its pre-activation
     logits so a fused loss can skip the saturating exponent. Each
     activation is dropped after its last reader, except that a train-mode
-    forward keeps those in ``graph.kept`` for :func:`backward`. A dropout
-    that alone reads a ReLU output (``graph.stand_in``) overwrites it.
-
-    A batch norm in ``graph.folded`` hands its conv a :class:`ChannelParts`
-    with its affine attached, applied window by window. An infer-mode
-    forward also keeps a concat in ``graph.unbuilt`` as a ChannelParts of
-    its inputs, and each conv in ``graph.head`` runs its 1x1 reader in its
-    own row blocks, the dropout between them being an identity. So MV-FCN
-    never builds L29, nor in infer mode L28 and L30, and the score map and
-    logits keep the bits of the built walk at every input size it accepts
-    (see :func:`conv2d_forward`'s ``head``).
+    forward keeps those in ``graph.kept`` for :func:`backward`, a ReLU
+    output that no conv reads as its x > 0 map. The comments on the tables
+    of :class:`ModelGraph` say how the walk runs a ``stand_in`` dropout, a
+    ``folded`` batch norm and, in infer mode, an ``unbuilt`` concat and a
+    ``head`` conv. So MV-FCN never builds L29, nor in infer mode L28 and
+    L30, and the score map and logits keep the bits of the built walk at
+    every input size it accepts (see :func:`conv2d_forward`'s ``head``).
     """
     if mode not in (TRAIN, INFER):
         raise ConfigError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
@@ -359,7 +363,7 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
     _check_input(graph, *x.shape[1:])
 
     cache = ForwardCache(mode=mode)
-    kept, masked = (graph.kept, _masked(graph)) if mode == TRAIN else ((), ())
+    kept = graph.kept if mode == TRAIN else ()
     unbuilt, heads = (graph.unbuilt, graph.head) if mode == INFER else ((), {})
     # the dropout and the 1x1 conv of each head, run by the conv before them
     streamed = {r for lid in heads.values() for r in (lid, graph.by_id[lid].inputs[0])}
@@ -402,33 +406,12 @@ def forward(graph: ModelGraph, x, mode: str = INFER, rng=None):
                 continue
             if src not in kept:
                 del cache.outputs[src]
-            elif src in masked:
+            elif graph.by_id[src].activation == "relu" and src not in graph.hand_over.values():
                 cache.outputs[src] = relu_mask(cache.outputs[src])
     score = cache.outputs[last.id]
     if cache.logits is None:
         cache.logits = score
     return score, cache
-
-
-def _masked(graph) -> set:
-    """The kept ReLU outputs that no conv reads and no dropout overwrites.
-    Backward reads only their x > 0, so a train forward keeps that bool map
-    of each from its release on."""
-    conv_inputs = {l.inputs[0] for l in graph.layers if l.kind in CONV_KINDS}
-    return {lid for lid in graph.kept - conv_inputs - graph.stand_in.keys()
-            if graph.by_id[lid].activation == "relu"}
-
-
-def _stand_in_under(graph, layer):
-    """The ReLU in ``graph.stand_in`` whose dropout the conv ``layer`` alone
-    reads, or None. After that conv's backward, only the ReLU's backward
-    reads the map the two share, and only its x > 0."""
-    dropout_layer = graph.by_id[layer.inputs[0]]
-    relu_id = dropout_layer.inputs[0] if dropout_layer.kind == "dropout" else None
-    if graph.stand_in.get(relu_id) != dropout_layer.id or any(
-            dropout_layer.id in l.inputs for l in graph.layers if l is not layer):
-        return None
-    return relu_id
 
 
 def _activate(layer, z):
@@ -450,16 +433,14 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
 
     The walk consumes the cache: it pops each layer's output and extras
     when it reaches that layer, since every reader of a layer comes later
-    in the forward order and so earlier in this walk. A ReLU layer in
-    ``graph.stand_in`` reads its mask from the map its dropout overwrote:
-    the conv that alone reads the dropout leaves that map's x > 0 in the
-    cache and takes the float map out of it, so the conv backward frees
-    the map before it allocates its input gradient. A conv whose input is
-    in ``graph.folded`` gets the batch norm's xhat with (gamma, beta)
-    attached, as the forward did. Each gradient is dropped once it is
-    accumulated, and fan-in sums, ReLU, dropout and batch-norm backward
-    write into arrays the walk owns. A spent cache is empty, and a second
-    backward on it raises RuntimeError.
+    in the forward order and so earlier in this walk. A conv in
+    ``graph.hand_over`` takes its input out of the cache and leaves the
+    ReLU's x > 0 in its place, and a conv whose input is in
+    ``graph.folded`` gets the batch norm's xhat with (gamma, beta)
+    attached, as the forward did (see those tables). Each gradient is
+    dropped once it is accumulated, and fan-in sums, ReLU, dropout and
+    batch-norm backward write into arrays the walk owns. A spent cache is
+    empty, and a second backward on it raises RuntimeError.
     """
     if cache.mode != TRAIN:
         raise RuntimeError("backward needs the cache of a train-mode forward")
@@ -483,15 +464,10 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
         del out  # released before the conv backward allocates
         if layer.kind in CONV_KINDS:
             src = layer.inputs[0]
-            relu_id = _stand_in_under(graph, layer)
-            if relu_id is not None:
-                # the ReLU keeps x > 0, and the conv gets the float map with
-                # no name held, so it is freed before the conv allocates d_x
-                cache.outputs[relu_id] = relu_mask(cache.outputs[src])
             conv_backward = conv2d_backward if layer.kind == "conv" else convT2d_backward
             # nothing consumes the gradient w.r.t. the graph input
-            d_x, d_w, d_b = conv_backward(cache.outputs.pop(src) if relu_id is not None
-                                          else cache.outputs[src],
+            d_x, d_w, d_b = conv_backward(_conv_input(cache.outputs, src,
+                                                      graph.hand_over.get(layer.id)),
                                           graph.params[layer.id]["weight"],
                                           graph.specs[layer.id], d,
                                           input_grad=graph.by_id[src].kind != "input")
@@ -517,6 +493,17 @@ def backward(graph: ModelGraph, cache: ForwardCache, d_final):
     for lid, name, arr in graph.parameter_items():
         grads.setdefault(lid, {}).setdefault(name, np.zeros_like(arr))
     return grads
+
+
+def _conv_input(outputs, src, relu_id):
+    """The cached input ``src`` of a conv backward. With the ``relu_id`` it
+    hands over, the map is taken out of the cache and that ReLU's x > 0
+    left in it, so the caller holds no name for the float map."""
+    if relu_id is None:
+        return outputs[src]
+    x = outputs.pop(src)
+    outputs[relu_id] = relu_mask(x)
+    return x
 
 
 def _accumulate(d_acc, src, part):

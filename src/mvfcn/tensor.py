@@ -627,11 +627,12 @@ def relu(x, out=None):
 
 def relu_backward(d_out, x, out=None):
     """Pass the upstream gradient where x > 0, zero (signed as d_out * 0)
-    elsewhere; ``out=d_out`` applies it in place."""
+    elsewhere; ``out=d_out`` applies it in place. ``x`` is the ReLU output
+    or its :func:`relu_mask`, which is used as given."""
     d_out, x = np.asarray(d_out), np.asarray(x)
+    keep = x if x.dtype == bool else relu_mask(x)
     out = np.empty_like(d_out) if out is None else out
-    _elementwise(lambda d, a, keep, o: np.multiply(d, np.greater(a, 0, out=keep), out=o),
-                 d_out, x, np.empty(x.shape, bool), out)
+    _elementwise(lambda d, k, o: np.multiply(d, k, out=o), d_out, keep, out)
     return out
 
 

@@ -104,7 +104,7 @@ def bce_loss(logits, target):
     target = np.asarray(target)
     if logits.shape != target.shape:
         raise ShapeError(f"logits {logits.shape} and target {target.shape} differ")
-    if target.size and (target.min() < 0.0 or target.max() > 1.0):
+    if target.size and not (target.min() >= 0.0 and target.max() <= 1.0):  # NaN fails both
         raise DataError("target values must lie in [0, 1]")
     per_element = np.maximum(logits, 0) - logits * target + np.log1p(np.exp(-np.abs(logits)))
     loss = float(per_element.mean(dtype=np.float64))

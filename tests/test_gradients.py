@@ -429,8 +429,9 @@ def _shared_dropout_graph():
 
 
 class TestHeadTables:
-    """The stand-in mask and the folded batch-norm output against the maps
-    they replace, and the in-place gradient sums against fresh ones."""
+    """The stand-in and hand-over masks and the folded batch-norm output
+    against the maps they replace, and the in-place gradient sums against
+    fresh ones."""
 
     @staticmethod
     def _grads(graph, x, d_final, seed):
@@ -444,31 +445,38 @@ class TestHeadTables:
             for name, value in named.items():
                 assert grads[lid][name].tobytes() == value.tobytes(), (lid, name)
 
+    @staticmethod
+    def _float_maps(graph, monkeypatch):
+        """The oracle walk: no table, and with relu_mask the identity every
+        ReLU output stays the float map its backward takes x > 0 of."""
+        graph.stand_in, graph.hand_over, graph.folded = {}, {}, frozenset()
+        monkeypatch.setattr(graph_module, "relu_mask", lambda y: y)
+
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])  # at 0, y31 is y30
-    def test_gradients_match_the_kept_maps(self, rate):
+    def test_gradients_match_the_kept_maps(self, monkeypatch, rate):
         graph = build_mvfcn(dropout_rate=rate)
         graph.initialize_parameters(EngineRng(0))
         r = np.random.default_rng(2)
         x = r.uniform(size=(2, 3, 32, 48)).astype(np.float32)
         d_final = r.normal(size=(2, 1, 32, 48)).astype(np.float32)
         grads = self._grads(graph, x, d_final, 3)
-        # oracle: with both tables empty the forward builds and keeps L29
-        # and keeps L30, and backward reads L30's own mask and L29's output
-        graph.stand_in, graph.folded = {}, frozenset()
+        # oracle: the forward builds and keeps L29 and keeps L30, and
+        # backward reads each ReLU's own float map and L29's output
+        self._float_maps(graph, monkeypatch)
         graph.kept = graph._kept()
         assert graph.kept == set(range(1, 33)) - {18, 21, 24, 27, 28}
         self._assert_same(grads, self._grads(graph, x, d_final, 3))
 
-    def test_a_stand_in_dropout_two_convs_read(self):
+    def test_a_stand_in_dropout_two_convs_read(self, monkeypatch):
         # the float map stays in the cache until the second conv's backward
         graph = _shared_dropout_graph()
-        assert graph.stand_in == {2: 3}
+        assert graph.stand_in == {2: 3} and graph.hand_over == {4: 2}
         graph.initialize_parameters(EngineRng(11))
         r = np.random.default_rng(12)
         x = r.normal(size=(2, 1, 6, 5)).astype(np.float32)
         d_final = r.normal(size=(2, 1, 6, 5)).astype(np.float32)
         grads = self._grads(graph, x, d_final, 13)
-        graph.stand_in = {}  # oracle: the dropout writes a map of its own
+        self._float_maps(graph, monkeypatch)  # the dropout writes a map of its own
         self._assert_same(grads, self._grads(graph, x, d_final, 13))
 
     @pytest.mark.parametrize("make, shape", [(build_mvfcn, (2, 3, 32, 32)),
@@ -540,6 +548,34 @@ class TestActivationGradients:
         got = relu_backward(d, x, out=d)
         assert got is d
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_given_its_mask_matches_the_output(self, dtype):
+        r = np.random.default_rng(8)
+        x = relu(r.normal(size=(2, 3, 5, 4)).astype(dtype))
+        x[0, 0, 0, 0] = np.nan  # fails x > 0 either way
+        d = r.normal(size=x.shape).astype(dtype)
+        d[1, 1, 1, 1] = np.nan  # passes through as NaN, or NaN * 0
+        mask = tensor.relu_mask(x)
+        expected = relu_backward(d, x)
+        assert relu_backward(d, mask).tobytes() == expected.tobytes()
+        got = relu_backward(d, mask, out=d)
+        assert got is d and got.tobytes() == expected.tobytes()
+
+    def test_relu_given_its_mask_allocates_no_map(self):
+        # the mask is read as given: no bool copy of the size of x
+        r = np.random.default_rng(9)
+        mask = tensor.relu_mask(r.normal(size=(2, 16, 120, 160)).astype(np.float32))
+        d = r.normal(size=mask.shape).astype(np.float32)
+        relu_backward(d, mask, out=d)  # starts the worker pool, if it must
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            relu_backward(d, mask, out=d)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < mask.nbytes // 4
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sigmoid_matches_fd(self, seed):

@@ -24,9 +24,11 @@ from mvfcn import (
     infer_shapes,
     io,
     relu,
+    relu_backward,
     sigmoid,
     summary,
 )
+from mvfcn import graph as graph_module
 from mvfcn.tensor import ChannelParts
 
 from conftest import fanout_graph, tiny_graph
@@ -344,6 +346,29 @@ class TestActivationLiveness:
         fanout = fanout_graph()
         assert fanout.stand_in == {} and fanout.folded == {6}
         assert 6 in fanout.kept
+
+    def test_hand_over_table(self):
+        # each ReLU read by a conv, at its earliest conv reader: L7's is
+        # L10, not L14, and L30's is L32, the reader of its stand-in L31
+        assert build_mvfcn().hand_over == {5: 2, 6: 5, 7: 3, 10: 7, 11: 4, 15: 11, 18: 17,
+                                           21: 20, 24: 23, 27: 26, 32: 30}
+        # a transposed conv counts as a conv reader; layer 2's concat
+        # reader does not
+        assert fanout_graph().hand_over == {3: 2, 4: 3}
+
+    def test_every_relu_backward_reads_a_bool_map(self, monkeypatch):
+        graph = self._warm_graph()
+        x = np.random.default_rng(28).uniform(size=(2, 3, 32, 32)).astype(np.float32)
+        _, cache = forward(graph, x, mode="train", rng=EngineRng(29))
+        dtypes = []
+
+        def recorded(d_out, x, out=None):
+            dtypes.append(x.dtype)
+            return relu_backward(d_out, x, out=out)
+
+        monkeypatch.setattr(graph_module, "relu_backward", recorded)
+        backward(graph, cache, np.ones_like(cache.logits))
+        assert dtypes == [np.dtype(bool)] * 17
 
     def test_tables_need_a_sole_reader(self):
         # a ReLU output that a concat also reads keeps its own mask, and a

@@ -67,6 +67,12 @@ class TestBceLoss:
         with pytest.raises(DataError):
             bce_loss(np.zeros((1, 1, 2, 2)), np.full((1, 1, 2, 2), 1.5))
 
+    def test_nan_target_rejected(self):
+        # one NaN would turn the loss into nan, not fail a range check
+        target = np.array([[[[0.0, 1.0], [np.nan, 0.0]]]])
+        with pytest.raises(DataError):
+            bce_loss(np.zeros((1, 1, 2, 2)), target)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             bce_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
